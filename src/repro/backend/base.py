@@ -89,8 +89,7 @@ def resolve_backend(name: str | None) -> Backend:
     """Resolve a configured backend name to an instance.
 
     ``None`` defers to ``$REPRO_BACKEND`` and falls back to the
-    interpreted reference backend — the same layering as
-    ``SimConfig.threaded`` and ``$REPRO_THREADED``.
+    interpreted reference backend.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV, "").strip() or "interpreted"

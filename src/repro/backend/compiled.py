@@ -8,8 +8,8 @@ later step of the same shape replays the cached plan with zero Python
 re-dispatch of the launch path.
 
 Runtime hooks that must observe or intercept *individual launches*
-(tracer, fault injector, deferred executor) make replay meaningless, so
-steps running under them fall back to the interpreted reference path —
+(tracer, fault injector) make replay meaningless, so steps running
+under them fall back to the interpreted reference path —
 counted, never silent.  Span recorders keep working through the plan's
 timed replay, and checkpoint restores bump the engine's state epoch so
 stale plans are never replayed against restored state.
@@ -65,12 +65,6 @@ class CompiledBackend:
         return (stepper.config, tuple(engine.omega), force_key,
                 engine.state_epoch)
 
-    def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True when a runtime hook needs to see individual launches."""
-        rt = stepper.engine.rt
-        return (rt.plan_only or rt.tracer is not None
-                or rt.faults is not None or rt.executor is not None)
-
     def _obtain_plan(self, stepper: "NonUniformStepper") -> StepPlan:
         key = self._plan_key(stepper)
         plan = self.plans.get(key)
@@ -94,7 +88,7 @@ class CompiledBackend:
 
     def step(self, stepper: "NonUniformStepper") -> None:
         """Advance one coarse step by plan replay (or counted fallback)."""
-        if self._must_fall_back(stepper):
+        if stepper.engine.rt.intercepts_launches:
             self.stats["plan_fallback_steps"] += 1
             self._fallback.step(stepper)
             return

@@ -4,9 +4,9 @@ This is the package's original hot path, extracted verbatim from
 ``NonUniformStepper.step``: every coarse step re-drives the Algorithm-1
 recursion, and every ``op_*`` goes through
 :meth:`~repro.neon.runtime.Runtime.launch` — constructing its record,
-consulting the tracer/fault/executor hooks and executing (or deferring)
-its body.  Slowest, most observable, and the correctness reference every
-other backend is gated against bit-for-bit.
+consulting the tracer/fault hooks and executing its body.  Slowest,
+most observable, and the correctness reference every other backend is
+gated against bit-for-bit.
 """
 
 from __future__ import annotations

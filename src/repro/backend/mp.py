@@ -1,9 +1,9 @@
 """Process-parallel step-plan backend: escaping the GIL with shared memory.
 
-The threaded :class:`~repro.neon.executor.WaveExecutor` runs dependency
-waves concurrently, but every NumPy kernel body still contends for one
-interpreter lock whenever it touches Python between array ops.  This
-backend moves wave execution into *processes*: every level's population
+In-process execution runs one kernel at a time, and every NumPy kernel
+body holds the interpreter lock whenever it touches Python between
+array ops.  This backend runs dependency waves concurrently in
+*processes*: every level's population
 buffers live in a :mod:`multiprocessing.shared_memory` segment, a
 persistent pool of spawn-based workers rebuilds the same engine geometry
 against those segments, and each admitted step plan is partitioned into
@@ -34,7 +34,7 @@ worker death, detected via process sentinels) surfaces as
 the partial step is closed with
 :meth:`~repro.neon.runtime.Runtime.abort_step`, the pool is torn down
 and respawned lazily — and the resilience ladder can step the run down
-to the threaded executor (see :mod:`repro.resilience.runner`).
+to in-process serial execution (see :mod:`repro.resilience.runner`).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class MpWorkerError(RuntimeError):
     Carries the runtime's shared ``kernel_span`` error contract, so the
     resilience runner treats it like any other kernel-body failure:
     roll back, retry, and eventually step down the degradation ladder
-    (mp -> threaded -> serial).
+    (mp -> serial).
     """
 
     def __init__(self, message: str, *, worker: int | None = None,
@@ -356,7 +356,7 @@ class MultiprocessBackend:
     segment.
 
     Runtime hooks that must observe or intercept individual launches
-    (tracer, fault injector, deferred thread executor, plan-only mode)
+    (tracer, fault injector, plan-only mode)
     fall back to the interpreted reference path — counted, never silent.
     Span recorders keep working: workers report per-kernel wall times
     (``perf_counter`` is CLOCK_MONOTONIC, comparable across processes on
@@ -402,22 +402,16 @@ class MultiprocessBackend:
 
     # -- configuration seam ----------------------------------------------------
     def configure(self, config) -> None:
-        """Apply ``SimConfig`` knobs (called by ``Simulation._build``)."""
+        """Apply ``SimConfig`` knobs (called by ``Simulation.__init__``)."""
         mp_workers = getattr(config, "mp_workers", None)
         if mp_workers:
             self.workers = int(mp_workers)
 
     # -- step ------------------------------------------------------------------
-    def _must_fall_back(self, stepper: "NonUniformStepper") -> bool:
-        """True when a runtime hook needs to see individual launches."""
-        rt = stepper.engine.rt
-        return (rt.plan_only or rt.tracer is not None
-                or rt.faults is not None or rt.executor is not None)
-
     def step(self, stepper: "NonUniformStepper") -> None:
         """Advance one coarse step on the worker pool (or counted fallback)."""
         rt = stepper.engine.rt
-        if self._disabled is not None or self._must_fall_back(stepper):
+        if self._disabled is not None or rt.intercepts_launches:
             self.stats["plan_fallback_steps"] += 1
             self._fallback.step(stepper)
             return

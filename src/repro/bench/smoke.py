@@ -1,4 +1,4 @@
-"""``python -m repro.bench.smoke`` — the quick benchmark pass CI tracks.
+"""``python -m repro bench`` — the quick benchmark pass CI tracks.
 
 One small lid-cavity measurement per direction-setting fusion config
 (the original baseline, the modified baseline and the full fusion),
@@ -20,8 +20,8 @@ gate is judged, so a failing run still leaves its evidence in the
 trajectory.
 
 A second leg (:func:`run_mp_smoke`, skippable with ``--skip-mp``)
-measures the process-parallel mp backend against the threaded executor
-on a larger cavity and appends its own ``smoke_mp`` history record,
+measures the process-parallel mp backend against the interpreted
+in-process path on a larger cavity and appends its own ``smoke_mp`` history record,
 salted with ``backend="mp"`` so the series keeps a separate baseline.
 On hosts with two or more cores the mp leg gates on
 ``$REPRO_SMOKE_MP_MIN_SPEEDUP`` (default 1.3×); everywhere it gates on
@@ -54,10 +54,10 @@ DEFAULT_MIN_SPEEDUP = 1.3
 #: test suite's job, not the benchmark's).
 MP_SMOKE_CONFIG = "ours-4f"
 
-#: mp-over-threaded speedup the smoke pass requires on multi-core hosts
-#: (override with ``$REPRO_SMOKE_MP_MIN_SPEEDUP``).  Single-core hosts
-#: report the ratio but never gate on it: with one core the worker pool
-#: cannot beat in-process threads no matter how well it shards.
+#: mp-over-interpreted speedup the smoke pass requires on multi-core
+#: hosts (override with ``$REPRO_SMOKE_MP_MIN_SPEEDUP``).  Single-core
+#: hosts report the ratio but never gate on it: with one core the worker
+#: pool cannot beat in-process execution no matter how well it shards.
 DEFAULT_MP_MIN_SPEEDUP = 1.3
 
 
@@ -104,7 +104,7 @@ def run_smoke(steps: int = 3, warmup: int = 1) -> dict:
 
 
 def run_mp_smoke(steps: int = 3, warmup: int = 1) -> dict:
-    """Measure the mp backend against the threaded in-process executor.
+    """Measure the mp backend against in-process interpreted execution.
 
     Uses a larger cavity than the main pass (64x64) so kernel work
     dominates the per-wave IPC round-trips, and a single config
@@ -119,11 +119,9 @@ def run_mp_smoke(steps: int = 3, warmup: int = 1) -> dict:
 
     wl = lid_cavity(base=(64, 64), num_levels=2, lattice="D2Q9")
     cfg = get_config(MP_SMOKE_CONFIG)
-    mt = measure(wl, cfg, steps=steps, warmup=warmup,
-                 backend="interpreted", threaded=True)
-    mm = measure(wl, cfg, steps=steps, warmup=warmup,
-                 backend="mp", threaded=False)
-    speedup = (mt.wall_seconds / mm.wall_seconds
+    mi = measure(wl, cfg, steps=steps, warmup=warmup, backend="interpreted")
+    mm = measure(wl, cfg, steps=steps, warmup=warmup, backend="mp")
+    speedup = (mi.wall_seconds / mm.wall_seconds
                if mm.wall_seconds > 0 else float("inf"))
     vals = mm.metrics.get("metrics", {})
 
@@ -133,7 +131,7 @@ def run_mp_smoke(steps: int = 3, warmup: int = 1) -> dict:
     return {
         "workload": wl.name, "steps": steps, "backend": "mp",
         "cpu_count": os.cpu_count() or 1,
-        "threaded": mt.summary(), "mp": mm.summary(),
+        "interpreted": mi.summary(), "mp": mm.summary(),
         "speedup": {MP_SMOKE_CONFIG: {"speedup": speedup}},
         "mp_pool": {"workers": _val("mp_workers"),
                     "utilisation": _val("mp_utilisation"),
@@ -146,7 +144,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from ..obs.metrics import write_bench_json
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.smoke",
+        prog="python -m repro bench",
         description="Quick benchmark pass: one small cavity measurement "
                     "per direction-setting fusion config, under both the "
                     "interpreted and compiled backends; appends to "
@@ -195,8 +193,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         ratio = mp_payload["speedup"][MP_SMOKE_CONFIG]["speedup"]
         pool = mp_payload["mp_pool"]
         cores = mp_payload["cpu_count"]
-        print(f"  {MP_SMOKE_CONFIG:<14} threaded "
-              f"{mp_payload['threaded']['wall_seconds']:.3f}s  "
+        print(f"  {MP_SMOKE_CONFIG:<14} interpreted "
+              f"{mp_payload['interpreted']['wall_seconds']:.3f}s  "
               f"mp {mp_payload['mp']['wall_seconds']:.3f}s  "
               f"speedup {ratio:.2f}x  "
               f"({pool['workers']:.0f} workers, "
@@ -212,10 +210,3 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"speedup gate on a {cores}-core host")
             failed = True
     return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m
-    import sys
-    print("note: 'python -m repro.bench.smoke' is deprecated; use "
-          "'python -m repro bench'", file=sys.stderr)
-    raise SystemExit(main())

@@ -1,23 +1,21 @@
 """Typed simulation configuration — the one object that fully describes a run.
 
-:class:`~repro.core.simulation.Simulation` grew its construction surface
-one keyword at a time (lattice, collision, viscosity/omega0, fusion
-config, force, dtype, threaded, max_workers, executor_debug, …), which
-made call sites hard to audit and impossible to serialize.  ``SimConfig``
-consolidates all of it into a single frozen dataclass:
+:class:`~repro.core.simulation.Simulation` needs a lattice, a collision
+model, a relaxation rate, a fusion config, an optional force, a dtype and
+an execution backend.  ``SimConfig`` holds all of it in a single frozen
+dataclass:
 
 * **validated once**, at construction (exactly one of viscosity/omega0,
   known fusion preset, well-formed dtype);
 * **immutable and comparable** — two simulations built from equal
   configs are bit-identical by the engine's determinism guarantees;
 * **replaceable** — :meth:`SimConfig.replace` derives safety profiles
-  (the resilience ladder's ``threaded=False`` / reduced-ω rebuilds)
+  (the resilience ladder's ``backend="interpreted"`` / reduced-ω rebuilds)
   without mutating the original;
 * **serializable** — :meth:`SimConfig.as_dict` feeds checkpoint
   manifests and structured reports.
 
-Construct simulations with ``Simulation.from_config(spec, config)``; the
-legacy keyword form still works behind a one-time deprecation warning.
+Construct simulations with ``Simulation.from_config(spec, config)``.
 """
 
 from __future__ import annotations
@@ -57,12 +55,6 @@ class SimConfig:
     dtype:
         ``None`` (float64, the paper's setting), ``numpy.float32`` /
         ``numpy.float64`` or their string names.
-    threaded:
-        ``None`` defers to ``$REPRO_THREADED``; ``True``/``False`` force
-        the deferred wave executor on or off.
-    max_workers / executor_debug:
-        Forwarded to :class:`~repro.neon.executor.WaveExecutor` when
-        threading is enabled.
     backend:
         Execution backend name (see :mod:`repro.backend`):
         ``"interpreted"`` (reference), ``"compiled"`` (step-plan replay),
@@ -82,9 +74,6 @@ class SimConfig:
     fusion: FusionConfig | str = FUSED_FULL
     force: tuple[float, ...] | None = None
     dtype: Any = None
-    threaded: bool | None = None
-    max_workers: int | None = None
-    executor_debug: bool | None = None
     backend: str | None = None
     mp_workers: int | None = None
 
@@ -102,8 +91,6 @@ class SimConfig:
                                tuple(float(c) for c in np.asarray(self.force).ravel()))
         if isinstance(self.dtype, str):
             object.__setattr__(self, "dtype", np.dtype(self.dtype).type)
-        if self.max_workers is not None and int(self.max_workers) < 1:
-            raise ValueError("max_workers must be >= 1")
         if self.mp_workers is not None and int(self.mp_workers) < 1:
             raise ValueError("mp_workers must be >= 1")
         if self.backend is not None:
@@ -133,9 +120,6 @@ class SimConfig:
             "fusion": self.fusion.name,
             "force": list(self.force) if self.force is not None else None,
             "dtype": np.dtype(self.dtype).name if self.dtype is not None else None,
-            "threaded": self.threaded,
-            "max_workers": self.max_workers,
-            "executor_debug": self.executor_debug,
             "backend": self.backend,
             "mp_workers": self.mp_workers,
         }

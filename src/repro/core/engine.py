@@ -31,11 +31,6 @@ from .units import omega_at_level
 
 __all__ = ["Engine", "LevelBuffers"]
 
-#: Default sentinel for kernel-body inputs that may legitimately be None
-#: (``force``): distinguishes "snapshot at call time" from an explicit value.
-_EAGER = object()
-
-
 
 @dataclass
 class LevelBuffers:
@@ -232,16 +227,7 @@ class Engine:
             t.read(FieldRef("fghost", lv), lo, hi, round(per_val * n_ghost_vals))
 
     # -- kernel bodies ---------------------------------------------------------
-    # Bodies are closures over their enqueue-time inputs (relaxation rate,
-    # force, fusion flags): under deferred execution they run at the next
-    # flush, and a launch must see the configuration it was issued with —
-    # not whatever a callback mutated in between.
-    def _collide_into_fstar(self, lv: int, omega: float | None = None,
-                            force=_EAGER) -> None:
-        if omega is None:
-            omega = self.omega[lv]
-        if force is _EAGER:
-            force = self.force[lv]
+    def _collide_into_fstar(self, lv: int) -> None:
         buf = self.levels[lv]
         n = buf.n_owned
         t = self._tracer()
@@ -249,8 +235,8 @@ class Engine:
             nb = self.lat.q * self.itemsize * n
             t.read(FieldRef("f", lv), 0, n, nb)
             t.write(FieldRef("fstar", lv), 0, n, nb)
-        self.collision.collide(buf.f[:, :n], omega,
-                               out=buf.fstar[:, :n], force=force)
+        self.collision.collide(buf.f[:, :n], self.omega[lv],
+                               out=buf.fstar[:, :n], force=self.force[lv])
 
     def _accumulate_values(self, lv: int, mode: str = "fused") -> None:
         """Add the finer level's fresh post-collision values into our ghosts.
@@ -382,9 +368,8 @@ class Engine:
         if fuse_accumulate and lv > 0:
             parent = self.levels[lv - 1]
             m = parent.acc_fine_rows.size
-        omega, force = self.omega[lv], self.force[lv]
         def body() -> None:
-            self._collide_into_fstar(lv, omega, force)
+            self._collide_into_fstar(lv)
             if fuse_accumulate and lv > 0:
                 self._accumulate_values(lv - 1, mode="fused")
         if fuse_accumulate and lv > 0 and m:
@@ -518,9 +503,8 @@ class Engine:
                 writes.append(FieldRef("gacc", lv - 1))
             if buf.exp_q.size:
                 reads.append(FieldRef("fstar", lv - 1))
-        omega, force = self.omega[lv], self.force[lv]
         def run() -> None:
-            self._collide_into_fstar(lv, omega, force)
+            self._collide_into_fstar(lv)
             if lv > 0:
                 self._accumulate_values(lv - 1, mode="fused")
             self._stream_bulk(lv)

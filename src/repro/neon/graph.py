@@ -102,7 +102,7 @@ class ConflictPair(NamedTuple):
     ``dep`` is the hazard class (``"raw"``/``"war"``/``"waw"``), ``ref``
     the :class:`~repro.neon.runtime.FieldRef` both kernels touch.  The
     program order ``i < j`` is the happens-before the serial semantics
-    guarantees; any schedule (fused, threaded, compiled) must reproduce
+    guarantees; any schedule (fused, compiled, mp) must reproduce
     it for every pair this enumeration yields.
     """
 
@@ -239,7 +239,8 @@ def schedule_records(records: list[KernelRecord],
     """Waves of a record list in one call (graph build + ASAP partition).
 
     The transitive reduction is skipped: redundant edges cannot change
-    ASAP depths, and the executor calls this on every step flush.
+    ASAP depths, and the mp backend calls this for every plan it
+    partitions.
     """
     return schedule_waves(
         build_dependency_graph(records, reduce=False, access_map=access_map))

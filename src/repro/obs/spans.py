@@ -214,10 +214,10 @@ class SpanRecorder:
         """Measured kernel-span overlap — the host analogue of per-stream
         occupancy.
 
-        Serial execution yields ``max_concurrent == 1``; under the
-        threaded wave executor genuinely overlapping bodies raise it up
-        to the wave width, which is what the Perfetto export renders
-        next to the predicted stream tracks.  ``mean_concurrent`` is the
+        In-process execution yields ``max_concurrent == 1``; mp workers
+        running one wave's kernels side by side raise it up to the wave
+        width, which is what the Perfetto export renders next to the
+        predicted stream tracks.  ``mean_concurrent`` is the
         time-weighted average over the spanned interval.
         """
         spans = (self.kernel_spans if step is None

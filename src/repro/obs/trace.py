@@ -137,7 +137,7 @@ def chrome_trace(recorder: SpanRecorder, *, device: DeviceSpec = A100_40GB,
                           "device": device.name,
                           "kernel_slices": len(recorder.kernel_spans),
                           # Observed overlap of the wall-clock slices —
-                          # 1.0 serial, up to the wave width threaded.
+                          # 1.0 in-process, up to the wave width on mp.
                           "occupancy": recorder.observed_occupancy()}}
 
 

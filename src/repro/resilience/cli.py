@@ -1,12 +1,10 @@
-"""``python -m repro.resilience`` — the recovery fault matrix.
+"""``python -m repro resilience`` — the recovery fault matrix.
 
-Runs every requested (fusion config x fault kind x execution mode) cell:
-an unfaulted serial run of the workload provides the per-config
-reference state, then each faulted run must *recover* — roll back to the
-last good checkpoint, retry, and finish with population buffers
-**bit-identical** to the reference.  Because serial and threaded
-execution are themselves bit-identical, one serial reference per fusion
-config covers both modes.
+Runs every requested (fusion config x fault kind) cell: an unfaulted
+run of the workload provides the per-config reference state, then each
+faulted run must *recover* — roll back to the last good checkpoint,
+retry, and finish with population buffers **bit-identical** to the
+reference.
 
 Each cell also has to leave a visible telemetry trail (a nonzero
 ``retries_total`` counter and at least one ``rollback`` recovery event),
@@ -42,7 +40,6 @@ MATRIX_WORKLOADS: dict[str, dict] = {
 }
 
 FAULT_KINDS = ("nan", "kernel", "oom")
-MODES = ("serial", "threaded")
 
 
 def _state(sim: Simulation) -> list:
@@ -63,7 +60,6 @@ def _make_fault(kind: str, step: int) -> Fault:
 def run_matrix(workload: str = "cavity2d-2lvl", *,
                configs: Sequence[str] | None = None,
                faults: Sequence[str] = FAULT_KINDS,
-               modes: Sequence[str] = MODES,
                steps: int = 10, policy: RetryPolicy | None = None) -> dict:
     """Run the matrix; return ``{"rows": [...], "summary": {...}}``."""
     from ..bench.workloads import lid_cavity
@@ -77,45 +73,42 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
     for fusion in fusion_cfgs:
         base_cfg = SimConfig(lattice=wl.lattice, collision=wl.collision,
                              viscosity=wl.viscosity, fusion=fusion)
-        with Simulation.from_config(wl.spec, base_cfg,
-                                    threaded=False) as ref_sim:
+        with Simulation.from_config(wl.spec, base_cfg) as ref_sim:
             ref_sim.run(steps)
             reference = _state(ref_sim)
-        for mode in modes:
-            cfg = base_cfg.replace(threaded=(mode == "threaded"))
-            for kind in faults:
-                injector = FaultInjector([_make_fault(kind, fault_step)])
-                runner = ResilientRunner(wl.spec, cfg, policy=pol,
-                                         faults=injector)
-                row = {"config": fusion.name, "mode": mode, "fault": kind,
-                       "fault_step": fault_step}
-                try:
-                    report = runner.run(steps).report
-                    rollbacks = sum(1 for e in runner.recorder.events
-                                    if e.name == "rollback")
-                    row.update(
-                        outcome=report.outcome,
-                        retries=report.retries,
-                        rollback_steps=report.rollback_steps,
-                        checkpoints=report.checkpoints,
-                        injected=len(injector.fired),
-                        identical=_identical(reference, _state(runner.sim)),
-                        telemetry=bool(
-                            runner.registry["retries_total"].value >= 1
-                            and rollbacks >= 1),
-                    )
-                    row["ok"] = bool(
-                        row["outcome"] == "ok" and row["identical"]
-                        and row["injected"] >= 1 and row["telemetry"])
-                except RetryExhausted as exc:
-                    row.update(outcome="failed", retries=exc.report.retries,
-                               rollback_steps=exc.report.rollback_steps,
-                               checkpoints=exc.report.checkpoints,
-                               injected=len(injector.fired),
-                               identical=False, telemetry=True, ok=False)
-                finally:
-                    runner.close()
-                rows.append(row)
+        for kind in faults:
+            injector = FaultInjector([_make_fault(kind, fault_step)])
+            runner = ResilientRunner(wl.spec, base_cfg, policy=pol,
+                                     faults=injector)
+            row = {"config": fusion.name, "fault": kind,
+                   "fault_step": fault_step}
+            try:
+                report = runner.run(steps).report
+                rollbacks = sum(1 for e in runner.recorder.events
+                                if e.name == "rollback")
+                row.update(
+                    outcome=report.outcome,
+                    retries=report.retries,
+                    rollback_steps=report.rollback_steps,
+                    checkpoints=report.checkpoints,
+                    injected=len(injector.fired),
+                    identical=_identical(reference, _state(runner.sim)),
+                    telemetry=bool(
+                        runner.registry["retries_total"].value >= 1
+                        and rollbacks >= 1),
+                )
+                row["ok"] = bool(
+                    row["outcome"] == "ok" and row["identical"]
+                    and row["injected"] >= 1 and row["telemetry"])
+            except RetryExhausted as exc:
+                row.update(outcome="failed", retries=exc.report.retries,
+                           rollback_steps=exc.report.rollback_steps,
+                           checkpoints=exc.report.checkpoints,
+                           injected=len(injector.fired),
+                           identical=False, telemetry=True, ok=False)
+            finally:
+                runner.close()
+            rows.append(row)
     passed = sum(1 for r in rows if r["ok"])
     return {
         "workload": wl.name,
@@ -130,12 +123,12 @@ def run_matrix(workload: str = "cavity2d-2lvl", *,
 def _print_matrix(result: dict, out) -> None:
     print(f"workload {result['workload']}  steps {result['steps']}  "
           f"fault at step {result['fault_step']}", file=out)
-    header = (f"{'config':<18} {'mode':<9} {'fault':<7} {'outcome':<9} "
+    header = (f"{'config':<18} {'fault':<7} {'outcome':<9} "
               f"{'retries':>7} {'rollback':>8} {'identical':>9} {'ok':>4}")
     print(header, file=out)
     print("-" * len(header), file=out)
     for r in result["rows"]:
-        print(f"{r['config']:<18} {r['mode']:<9} {r['fault']:<7} "
+        print(f"{r['config']:<18} {r['fault']:<7} "
               f"{r['outcome']:<9} {r['retries']:>7} {r['rollback_steps']:>8} "
               f"{str(r['identical']):>9} {'yes' if r['ok'] else 'NO':>4}",
               file=out)
@@ -146,9 +139,9 @@ def _print_matrix(result: dict, out) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.resilience",
+        prog="python -m repro resilience",
         description="Fault matrix: inject NaN/kernel/OOM faults across "
-                    "fusion configs and execution modes, verify every "
+                    "fusion configs, verify every "
                     "recovered run is bit-identical to an unfaulted "
                     "reference.")
     parser.add_argument("--workload", default="cavity2d-2lvl",
@@ -159,9 +152,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--faults", default=",".join(FAULT_KINDS),
                         help=f"comma-separated fault kinds "
                              f"(default {','.join(FAULT_KINDS)})")
-    parser.add_argument("--modes", default=",".join(MODES),
-                        help="comma-separated execution modes "
-                             "(default serial,threaded)")
     parser.add_argument("--steps", type=int, default=10,
                         help="coarse steps per run (default 10)")
     parser.add_argument("--checkpoint-every", type=int, default=4,
@@ -176,16 +166,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     for kind in args.faults.split(","):
         if kind not in FAULT_KINDS:
             parser.error(f"unknown fault kind {kind!r}")
-    for mode in args.modes.split(","):
-        if mode not in MODES:
-            parser.error(f"unknown mode {mode!r}")
 
     policy = RetryPolicy(checkpoint_every=args.checkpoint_every,
                          max_retries=args.max_retries)
     try:
         result = run_matrix(args.workload, configs=configs,
                             faults=args.faults.split(","),
-                            modes=args.modes.split(","),
                             steps=args.steps, policy=policy)
     except KeyError as exc:
         parser.error(str(exc.args[0]))

@@ -21,7 +21,8 @@ step (``Runtime.steps_base`` + markers), so a rollback that rebases the
 trace does not re-fire a one-shot fault — exactly the transient-fault
 semantics the recovery matrix verifies bit-identical recovery against.
 Fired state lives in the injector, surviving re-installation onto
-rebuilt simulations (the degradation ladder's serial/safety rebuilds).
+rebuilt simulations (the degradation ladder's mp -> serial and safety
+rebuilds).
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class Fault:
         transient fault — recovery must converge to the unfaulted
         reference; negative values never disarm (persistent fault, used
         to exercise the degradation ladder).
-    only_threaded:
-        Fire only while a wave executor is installed — models failures
-        specific to the concurrent path, which the ladder's
-        fall-back-to-serial rung must survive.
     """
 
     kind: str
@@ -83,7 +80,6 @@ class Fault:
     cell: int = 0
     q: int = 0
     times: int = 1
-    only_threaded: bool = False
     remaining: int = field(init=False)
 
     _KINDS = ("nan", "inf", "kernel", "oom")
@@ -136,10 +132,9 @@ class FaultInjector:
         """Substitute a raising body when a kernel/OOM fault matches.
 
         Called by :meth:`repro.neon.runtime.Runtime.launch` for every
-        kernel.  The wrapper raises when it *runs* (immediately in
-        serial mode, at the flush in deferred mode) and only then
-        consumes the fault — a captured-but-aborted body does not burn
-        a firing.
+        kernel.  The wrapper raises when it *runs* and only then
+        consumes the fault — a wrapped body that never runs does not
+        burn a firing.
         """
         rt = self._sim.runtime
         step = rt.steps_base + len(rt.markers) + 1  # the in-flight step
@@ -150,14 +145,8 @@ class FaultInjector:
                 continue
             if f.kernel is not None and (f.kernel != name or f.level != level):
                 continue
-            if f.only_threaded and rt.executor is None:
-                continue
 
             def raising(f=f, name=name, level=level) -> None:
-                if not f.armed:  # disarmed between capture and flush
-                    if fn is not None:
-                        fn()
-                    return
                 f.consume()
                 self.fired.append({"kind": f.kind, "step": f.step,
                                    "kernel": name, "level": level})
@@ -177,8 +166,6 @@ class FaultInjector:
             return
         for f in self.faults:
             if f.kind not in ("nan", "inf") or not f.armed or f.step != step:
-                continue
-            if f.only_threaded and self._sim.runtime.executor is None:
                 continue
             value = float("nan") if f.kind == "nan" else float("inf")
             f.consume()

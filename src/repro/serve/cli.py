@@ -49,7 +49,7 @@ def build_flood(jobs: int = 20, tenants: int = 3, seed: int = 0,
         wl = lid_cavity(base=(base, base), num_levels=levels,
                         lattice="D2Q9", collision="bgk")
         cfg = SimConfig(lattice="D2Q9", collision="bgk",
-                        viscosity=wl.viscosity, threaded=False)
+                        viscosity=wl.viscosity)
         specs.append(JobSpec(
             spec=wl.spec, config=cfg,
             steps=rng.randint(steps_min, steps_max),

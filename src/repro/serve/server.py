@@ -5,7 +5,7 @@ bounded worker pool.  The event loop owns scheduling, admission and
 telemetry; each admitted job runs on a worker thread driving a
 :class:`~repro.resilience.runner.ResilientRunner` in checkpoint-cadence
 segments, so every job gets the full per-job resilience ladder
-(rollback-retry, mp -> threaded -> serial, safety-omega) *and* the
+(rollback-retry, mp -> serial, safety-omega) *and* the
 server gets segment-granular cancellation, durable progress and
 worker-death recovery on top.
 
@@ -110,8 +110,8 @@ class JobServer:
         summary).  ``None`` uses a self-cleaning temporary directory —
         fine for tests, pointless for restart-resume.
     workers:
-        Concurrent jobs (worker threads).  Each job may additionally be
-        threaded/mp internally per its own ``SimConfig``.
+        Concurrent jobs (worker threads).  Each job may additionally run
+        on the mp backend per its own ``SimConfig``.
     max_queued_per_tenant:
         Admission bound on one tenant's live (non-terminal) jobs.
     max_outstanding_cost_us:

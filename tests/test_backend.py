@@ -10,9 +10,9 @@ The contract under test is the one ``docs/ARCHITECTURE.md`` states:
 * the plan **cache invalidates** when it must: config changes and
   regrids produce a new backend instance, checkpoint restores bump the
   engine's state epoch;
-* runtime hooks that intercept individual launches (tracer, faults,
-  executor) force a **counted fallback** to the interpreted path, with
-  results still bit-identical.
+* runtime hooks that intercept individual launches (tracer, faults)
+  force a **counted fallback** to the interpreted path, with results
+  still bit-identical.
 """
 
 import os
@@ -40,8 +40,7 @@ def cavity(dim="2d"):
 
 def build(wl, cfg, backend, **over):
     return Simulation.from_config(
-        wl.spec, wl.sim_config(fusion=cfg), backend=backend,
-        threaded=False, **over)
+        wl.spec, wl.sim_config(fusion=cfg), backend=backend, **over)
 
 
 def states(sim):
@@ -166,12 +165,6 @@ class TestFallback:
         sc.run(3)
         assert_bit_identical(states(si), states(sc))
         return sc
-
-    def test_executor_falls_back(self):
-        sc = self._parity_under(lambda s: s.enable_threading(max_workers=2))
-        assert sc.backend.stats["plan_fallback_steps"] == 3
-        assert sc.backend.stats["plan_cache_misses"] == 0
-        sc.close()
 
     def test_access_tracer_falls_back(self):
         sc = self._parity_under(lambda s: s.runtime.capture_start())
@@ -342,7 +335,7 @@ class TestTieredLeg:
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
         wl = cavity()
         sim = Simulation.from_config(wl.spec, wl.sim_config(
-            fusion=ABLATION_CONFIGS[0]), threaded=False)
+            fusion=ABLATION_CONFIGS[0]))
         assert sim.backend.name == "compiled"
 
     def test_env_default_is_interpreted(self):

@@ -9,7 +9,7 @@ The contract under test extends the backend-parity one
 * a **dead worker** surfaces as a structured :class:`MpWorkerError`
   carrying the mid-step error contract (``kernel_span``), the pool
   respawns lazily, and :class:`ResilientRunner` rides the failure to a
-  bit-identical finish (rollback-retry, then the mp → threaded ladder
+  bit-identical finish (rollback-retry, then the mp → serial ladder
   rung when strikes accumulate);
 * ``$REPRO_BACKEND=mp`` selects the backend ambiently in a fresh
   process, exactly like the compiled backends (the spawn-mode smoke the
@@ -44,8 +44,7 @@ def cavity(dim="2d"):
 
 def build(wl, cfg, backend, **over):
     return Simulation.from_config(
-        wl.spec, wl.sim_config(fusion=cfg), backend=backend,
-        threaded=False, mp_workers=2, **over)
+        wl.spec, wl.sim_config(fusion=cfg), backend=backend, mp_workers=2, **over)
 
 
 def states(sim):
@@ -138,7 +137,7 @@ def cavity_spec():
 
 
 def mp_config(**overrides):
-    kw = dict(backend="mp", mp_workers=2, threaded=False)
+    kw = dict(backend="mp", mp_workers=2)
     kw.update(overrides)
     return SimConfig(lattice="D2Q9", viscosity=0.05, **kw)
 
@@ -164,7 +163,7 @@ class TestResilience:
             assert runner.mode == "mp"
             assert_bit_identical(expect, states(runner.sim))
 
-    def test_repeated_worker_failures_degrade_to_threaded(self):
+    def test_repeated_worker_failures_degrade_to_serial(self):
         runner = ResilientRunner(
             cavity_spec(), mp_config(),
             policy=RetryPolicy(checkpoint_every=2, max_retries=5,
@@ -175,8 +174,9 @@ class TestResilience:
 
             runner.sim.backend.step = doomed_step
             report = runner.run(2).report
-            assert [d["rung"] for d in report.degradations] == ["threaded"]
-            assert runner.mode == "threaded"
+            assert [d["rung"] for d in report.degradations] == ["serial"]
+            assert runner.mode == "serial"
+            assert runner.sim.backend.name == "interpreted"
             assert report.final_step == 2
             assert report.outcome == "degraded"
 
@@ -197,8 +197,7 @@ class TestSpawnEnv:
                                 lattice="D2Q9")
                 with Simulation.from_config(
                         wl.spec,
-                        wl.sim_config(fusion="ours-4f", threaded=False,
-                                      mp_workers=2)) as sim:
+                        wl.sim_config(fusion="ours-4f", mp_workers=2)) as sim:
                     assert sim.backend.name == "mp", sim.backend.name
                     sim.run(1)
                     assert sim.backend.stats["mp_steps"] == 1

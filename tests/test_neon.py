@@ -1,6 +1,7 @@
 """Mini-Neon runtime and dependency-graph extraction (Fig. 2, Section V-C)."""
 
 import networkx as nx
+import pytest
 
 from repro.core.fusion import FUSED_FULL, MODIFIED_BASELINE
 from repro.core.simulation import Simulation
@@ -90,8 +91,9 @@ class TestDependencyGraph:
         assert g.number_of_edges() == 0
 
     def test_acyclic(self):
-        sim = Simulation(RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0])),
-                         "D2Q9", "bgk", viscosity=0.05, config=MODIFIED_BASELINE)
+        spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]))
+        sim = Simulation.from_config(spec, lattice="D2Q9", viscosity=0.05,
+                                     fusion=MODIFIED_BASELINE)
         sim.run(2)
         g = build_dependency_graph(sim.runtime.records, reduce=False)
         assert nx.is_directed_acyclic_graph(g)
@@ -100,6 +102,90 @@ class TestDependencyGraph:
         g = build_dependency_graph([rec("C", 0), rec("S", 1)])
         assert g.nodes[0]["label"] == "C0"
         assert g.nodes[1]["label"] == "S1"
+
+
+class TestLaunchErrorContract:
+    """A raising kernel body leaves with ``kernel_span`` and no record."""
+
+    def test_error_truncates_trace_and_attaches_span(self):
+        rt = Runtime()
+        rt.launch("ok", 0, n_cells=4, bytes_read=0, bytes_written=32,
+                  writes=(FieldRef("a", 0),), fn=lambda: None)
+
+        def boom():
+            raise RuntimeError("kernel exploded")
+
+        with pytest.raises(RuntimeError, match="kernel exploded") as err:
+            rt.launch("bad", 1, n_cells=8, bytes_read=0, bytes_written=64,
+                      reads=(FieldRef("a", 0),), fn=boom)
+        span = err.value.kernel_span
+        assert span["name"] == "bad" and span["index"] == 1
+        assert span["level"] == 1 and span["n_cells"] == 8
+        # the failed kernel never launched: only the executed one remains
+        assert [r.name for r in rt.records] == ["ok"]
+        rt.abort_step()
+        rt.abort_step()  # idempotent: the partial step is closed once
+        assert rt.markers == [1]
+
+    def test_engine_body_error_carries_kernel_span(self, monkeypatch):
+        from repro.backend import InterpretedBackend
+        from repro.core.engine import Engine
+
+        spec = RefinementSpec((16, 16), wall_refinement((16, 16), 2, [3.0]))
+        sim = Simulation.from_config(spec, lattice="D2Q9", viscosity=0.05)
+        sim.stepper.backend = InterpretedBackend()
+
+        def boom(*_):
+            raise RuntimeError("collision failed")
+
+        monkeypatch.setattr(Engine, "_collide_into_fstar", boom)
+        with pytest.raises(RuntimeError, match="collision failed") as err:
+            sim.run(1)
+        span = err.value.kernel_span
+        assert span["name"] in ("C", "CA", "CASE")
+        assert span["index"] == len(sim.runtime.records)
+
+
+class TestMidStepFailure:
+    """A kernel failure mid-step must not leave the trace unbalanced."""
+
+    def test_partial_step_closed_on_error(self):
+        from repro.backend import InterpretedBackend
+        from repro.bench.workloads import lid_cavity
+        from repro.obs.trace import chrome_trace, validate_trace
+
+        wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
+        sim = Simulation.from_config(
+            wl.spec, wl.sim_config(fusion=MODIFIED_BASELINE))
+        # The failure is injected by monkeypatching an engine kernel
+        # body, which only the re-dispatching interpreted backend can
+        # observe (compiled plans bind bodies at compile time); the
+        # compiled-path error contract is covered in test_backend.py.
+        sim.stepper.backend = InterpretedBackend()
+        rec = sim.enable_tracing()
+        sim.run(1)
+        clean = len(sim.runtime.last_step())
+
+        def boom(lv, *args, **kwargs):
+            raise RuntimeError("mid-step failure")
+
+        sim.engine._coalesce_values = boom
+        with pytest.raises(RuntimeError, match="mid-step failure") as err:
+            sim.run(1)
+        rt = sim.runtime
+        assert err.value.kernel_span["index"] == len(rt.records)
+        # The partial step was closed: no record dangles beyond the
+        # last marker, so per-step queries can't leak it onwards.
+        assert rt.markers and rt.markers[-1] == len(rt.records)
+        assert len(rt.records) > rt.markers[-2]  # partial work kept
+        # steps_done not bumped for the failed step
+        assert sim.steps_done == 1
+        # The exported trace stays valid: 1 kernel slice per record.
+        assert validate_trace(chrome_trace(rec), len(rt.records)) == []
+
+        del sim.engine._coalesce_values  # un-patch
+        sim.run(1)
+        assert len(sim.runtime.last_step()) == clean
 
 
 class TestScheduleWaves:
@@ -264,7 +350,7 @@ class TestGoldenKernelCounts:
                               wall_refinement(self.SPEC["base"],
                                               self.SPEC["levels"],
                                               self.SPEC["widths"]), bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05, config=config)
+        sim = Simulation.from_config(spec, lattice="D2Q9", viscosity=0.05, fusion=config)
         sim.run(2)
         return sim.runtime.last_step()
 
@@ -297,7 +383,7 @@ class TestStepGraphs:
         bc = DomainBC({"y+": FaceBC("moving", velocity=(0.05, 0.0))})
         spec = RefinementSpec((24, 24), wall_refinement((24, 24), 3, [7.0, 2.0]),
                               bc=bc)
-        sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05, config=config)
+        sim = Simulation.from_config(spec, lattice="D2Q9", viscosity=0.05, fusion=config)
         sim.run(2)
         return build_dependency_graph(sim.runtime.last_step(), reduce=False)
 

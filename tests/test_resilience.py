@@ -4,9 +4,7 @@ The central claim mirrors the paper's determinism guarantees: a run that
 suffers a *transient* fault (field corruption, kernel failure, simulated
 device OOM) and recovers through checkpoint rollback finishes
 **bit-identical** to an unfaulted run — for every fusion config of
-Fig. 4 and in both serial and threaded execution (the matrix honours the
-ambient ``REPRO_THREADED``, so ``make test-threaded`` covers the
-deferred path).
+Fig. 4.
 """
 
 import os
@@ -58,7 +56,7 @@ def reference_state(spec, config, steps):
 class TestFaultInjector:
     def test_nan_fault_fires_at_chosen_step_and_site(self):
         spec = cavity_spec()
-        sim = Simulation.from_config(spec, cavity_config(threaded=False))
+        sim = Simulation.from_config(spec, cavity_config())
         inj = FaultInjector([Fault("nan", step=3, level=1, cell=4, q=2)])
         inj.install(sim)
         sim.run(2)
@@ -71,14 +69,14 @@ class TestFaultInjector:
 
     def test_inf_fault(self):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         FaultInjector([Fault("inf", step=1)]).install(sim)
         sim.run(1)
         assert np.isinf(sim.engine.levels[0].f[0, 0])
 
     def test_nan_fault_trips_watchdog_at_injected_step(self):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         FaultInjector([Fault("nan", step=3)]).install(sim)
         with pytest.raises(SimulationDiverged) as exc:
             sim.watchdog(every=1).watch(6)
@@ -87,7 +85,7 @@ class TestFaultInjector:
 
     def test_kernel_fault_raises_and_aborts_step(self):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         inj = FaultInjector([Fault("kernel", step=3)])
         inj.install(sim)
         with pytest.raises(InjectedKernelError):
@@ -97,7 +95,7 @@ class TestFaultInjector:
 
     def test_oom_fault_raises_device_oom(self):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         FaultInjector([Fault("oom", step=2)]).install(sim)
         with pytest.raises(DeviceOOMError) as exc:
             sim.run(5)
@@ -105,7 +103,7 @@ class TestFaultInjector:
 
     def test_one_shot_fault_disarms_after_firing(self):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         inj = FaultInjector([Fault("kernel", step=2, times=1)])
         inj.install(sim)
         with pytest.raises(InjectedKernelError):
@@ -116,20 +114,12 @@ class TestFaultInjector:
 
     def test_kernel_name_filter(self):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         inj = FaultInjector([Fault("kernel", step=1, kernel="SO", level=0)])
         inj.install(sim)
         with pytest.raises(InjectedKernelError) as exc:
             sim.run(1)
         assert exc.value.kernel == "SO" and exc.value.level == 0
-
-    def test_only_threaded_fault_is_inert_in_serial(self):
-        sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
-        inj = FaultInjector([Fault("kernel", step=2, only_threaded=True)])
-        inj.install(sim)
-        sim.run(4)
-        assert not inj.fired and sim.steps_done == 4
 
     def test_bad_fault_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -143,7 +133,7 @@ class TestFaultInjector:
 class TestCheckpointStore:
     def test_prunes_to_keep_last_k(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck", keep=2)
         for _ in range(3):
             sim.run(2)
@@ -155,7 +145,7 @@ class TestCheckpointStore:
 
     def test_restore_specific_generation(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck")
         sim.run(2)
         store.save(sim)
@@ -163,7 +153,7 @@ class TestCheckpointStore:
         sim.run(2)
         store.save(sim)
         other = Simulation.from_config(cavity_spec(),
-                                       cavity_config(threaded=False))
+                                       cavity_config())
         assert store.restore(other, 2) == 2
         assert other.steps_done == 2
         assert identical(mid, state(other))
@@ -173,7 +163,7 @@ class TestCheckpointStore:
         # zipfile/EOF error mid-restore, after buffers were already
         # partially overwritten.
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         sim.run(2)
         path = str(tmp_path / "ck.npz")
         save_checkpoint(sim, path)
@@ -188,7 +178,7 @@ class TestCheckpointStore:
 
     def test_restore_latest_falls_back_over_torn_generation(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck")
         sim.run(2)
         store.save(sim)
@@ -198,13 +188,13 @@ class TestCheckpointStore:
         blob = open(newest, "rb").read()
         open(newest, "wb").write(blob[:100])
         other = Simulation.from_config(cavity_spec(),
-                                       cavity_config(threaded=False))
+                                       cavity_config())
         assert store.restore_latest(other) == 2
         assert identical(good, state(other))
 
     def test_all_generations_torn_raises(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck")
         sim.run(1)
         p = store.save(sim)
@@ -214,7 +204,7 @@ class TestCheckpointStore:
 
     def test_empty_store_raises(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         with pytest.raises(CheckpointError):
             CheckpointStore(tmp_path / "ck").restore_latest(sim)
 
@@ -223,7 +213,7 @@ class TestCheckpointStore:
         # leave the rolled-back-past checkpoints on disk and in the
         # manifest, so restore_latest resurrected abandoned state.
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck", keep=3)
         sim.run(2)
         store.save(sim)                     # step 2
@@ -236,7 +226,7 @@ class TestCheckpointStore:
         assert store.steps() == [2, 3]
         assert [e["step"] for e in store.manifest()["entries"]] == [2, 3]
         other = Simulation.from_config(cavity_spec(),
-                                       cavity_config(threaded=False))
+                                       cavity_config())
         assert store.restore_latest(other) == 3
         assert other.steps_done == 3
 
@@ -244,7 +234,7 @@ class TestCheckpointStore:
         # PR-9 regression: with the manifest gone, pruning used to keep
         # only the step just saved and delete every fallback generation.
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck", keep=3)
         for _ in range(2):
             sim.run(2)
@@ -260,7 +250,7 @@ class TestCheckpointStore:
         # directory listing and the open; the vanished file must read as
         # a damaged generation and fall back, not crash.
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck")
         sim.run(2)
         store.save(sim)
@@ -269,13 +259,13 @@ class TestCheckpointStore:
         monkeypatch.setattr(CheckpointStore, "steps",
                             lambda self: listed + [99])
         other = Simulation.from_config(cavity_spec(),
-                                       cavity_config(threaded=False))
+                                       cavity_config())
         assert store.restore_latest(other) == 2
         assert identical(good, state(other))
 
     def test_no_temp_files_left_behind(self, tmp_path):
         sim = Simulation.from_config(cavity_spec(),
-                                     cavity_config(threaded=False))
+                                     cavity_config())
         store = CheckpointStore(tmp_path / "ck", keep=1)
         for _ in range(3):
             sim.run(1)
@@ -290,12 +280,7 @@ class TestCheckpointStore:
 @pytest.mark.parametrize("fusion", ALL_CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("kind", ["nan", "kernel", "oom"])
 def test_recovery_bit_identical(fusion, kind):
-    """Every fusion config recovers bit-identically from every fault kind.
-
-    ``threaded`` is left at ``None`` so the ambient ``REPRO_THREADED``
-    decides the execution mode — the threaded CI lane runs this exact
-    matrix through the wave executor.
-    """
+    """Every fusion config recovers bit-identically from every fault kind."""
     spec = cavity_spec()
     config = cavity_config(fusion=fusion)
     steps = 8
@@ -328,7 +313,7 @@ def test_recovery_is_visible_in_telemetry():
 def test_retry_budget_exhaustion_carries_report():
     spec = cavity_spec()
     injector = FaultInjector([Fault("kernel", step=3, times=-1)])
-    runner = ResilientRunner(spec, cavity_config(threaded=False),
+    runner = ResilientRunner(spec, cavity_config(),
                              faults=injector,
                              policy=RetryPolicy(max_retries=2,
                                                 checkpoint_every=3))
@@ -341,24 +326,32 @@ def test_retry_budget_exhaustion_carries_report():
     assert report.failures[-1]["kind"] == "kernel"
 
 
-def test_ladder_falls_back_to_serial_and_stays_bit_identical():
+def test_runner_recovers_kernel_body_error_on_interpreted_path(monkeypatch):
+    """A plain RuntimeError from a kernel body is a recoverable kernel
+    failure: ``Runtime.launch`` marks it with ``kernel_span``."""
+    from repro.core.engine import Engine
+
     spec = cavity_spec()
-    config = cavity_config(threaded=True)
+    config = cavity_config(backend="interpreted")
     steps = 8
-    reference = reference_state(spec, cavity_config(threaded=False), steps)
-    injector = FaultInjector([Fault("kernel", step=5, times=-1,
-                                    only_threaded=True)])
-    with ResilientRunner(spec, config, faults=injector,
-                         policy=RetryPolicy(
-                             checkpoint_every=3,
-                             executor_failures_before_serial=2)) as runner:
+    reference = reference_state(spec, config, steps)
+    original = Engine._collide_into_fstar
+    fired = []
+
+    def flaky(self, lv, *rest):
+        if not fired and self.rt.steps_base + len(self.rt.markers) == 4:
+            fired.append(lv)
+            raise RuntimeError("transient kernel failure")
+        original(self, lv, *rest)
+
+    monkeypatch.setattr(Engine, "_collide_into_fstar", flaky)
+    with ResilientRunner(spec, config,
+                         policy=RetryPolicy(checkpoint_every=3)) as runner:
         report = runner.run(steps).report
-        assert report.outcome == "degraded"
-        assert report.mode == "serial"
-        assert [d["rung"] for d in report.degradations] == ["serial"]
-        assert runner.config.threaded is False
+        assert fired
+        assert report.outcome == "ok" and report.retries == 1
+        assert report.failures[0]["kind"] == "kernel"
         assert identical(reference, state(runner.sim))
-        assert runner.registry["degradations_total"].value == 1
 
 
 def test_ladder_rebuilds_with_safety_omega_on_repeated_divergence():
@@ -368,7 +361,7 @@ def test_ladder_rebuilds_with_safety_omega_on_repeated_divergence():
     injector = FaultInjector([Fault("nan", step=4, times=2)])
     policy = RetryPolicy(checkpoint_every=3, divergences_before_safety=2,
                          omega_safety_scale=0.8)
-    with ResilientRunner(spec, cavity_config(threaded=False),
+    with ResilientRunner(spec, cavity_config(),
                          faults=injector, policy=policy) as runner:
         omega_before = runner.sim.engine.omega[0]
         report = runner.run(6).report
@@ -385,7 +378,7 @@ def test_backoff_schedule_uses_injected_sleep():
     injector = FaultInjector([Fault("kernel", step=2, times=3)])
     policy = RetryPolicy(max_retries=5, checkpoint_every=2, backoff=0.5,
                          backoff_factor=2.0, max_backoff=1.5)
-    with ResilientRunner(spec, cavity_config(threaded=False),
+    with ResilientRunner(spec, cavity_config(),
                          faults=injector, policy=policy,
                          sleep=naps.append) as runner:
         report = runner.run(4).report
@@ -395,7 +388,7 @@ def test_backoff_schedule_uses_injected_sleep():
 
 def test_runner_uses_provided_store_directory(tmp_path):
     spec = cavity_spec()
-    with ResilientRunner(spec, cavity_config(threaded=False),
+    with ResilientRunner(spec, cavity_config(),
                          store=str(tmp_path / "ck"),
                          policy=RetryPolicy(checkpoint_every=2)) as runner:
         runner.run(4)
@@ -409,7 +402,7 @@ def test_unrecognised_exception_propagates():
     def explode(sim):
         raise KeyError("not a kernel failure")
 
-    runner = ResilientRunner(spec, cavity_config(threaded=False))
+    runner = ResilientRunner(spec, cavity_config())
     runner.watchdog.callback = explode
     with runner:
         with pytest.raises(KeyError):

@@ -35,7 +35,7 @@ def cavity_job(base=10, levels=1, steps=4, tenant="default", priority=0,
     wl = lid_cavity(base=(base, base), num_levels=levels,
                     lattice="D2Q9", collision="bgk")
     cfg = SimConfig(lattice="D2Q9", collision="bgk",
-                    viscosity=wl.viscosity, threaded=False)
+                    viscosity=wl.viscosity)
     return JobSpec(spec=wl.spec, config=cfg, steps=steps, tenant=tenant,
                    priority=priority, checkpoint_every=checkpoint_every,
                    job_id=job_id, labels=labels)
@@ -57,8 +57,7 @@ class TestOracle:
         for base, levels in [((12, 12), 2), ((10, 10), 1)]:
             wl = lid_cavity(base=base, num_levels=levels, lattice="D2Q9")
             sim = Simulation.from_config(
-                wl.spec, SimConfig(lattice="D2Q9", viscosity=0.01,
-                                   threaded=False))
+                wl.spec, SimConfig(lattice="D2Q9", viscosity=0.01))
             try:
                 assert (active_cells_estimate(wl.spec)
                         == list(sim.mgrid.active_per_level()))

@@ -1,11 +1,10 @@
-"""SimConfig: validation, replace semantics, and the legacy-kwargs shim."""
+"""SimConfig: validation, replace semantics, and construction paths."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-import repro.core.simulation as sim_mod
 from repro import FUSED_FULL, SimConfig, Simulation, get_config
 from repro.grid.geometry import wall_refinement
 from repro.grid.multigrid import DomainBC, FaceBC, RefinementSpec
@@ -36,10 +35,6 @@ class TestValidation:
         with pytest.raises(KeyError):
             SimConfig(viscosity=0.05, fusion="no-such-preset")
 
-    def test_max_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            SimConfig(viscosity=0.05, max_workers=0)
-
     def test_force_normalized_to_tuple(self):
         cfg = SimConfig(viscosity=0.05, force=np.array([1e-5, 0.0, 0.0]))
         assert cfg.force == (1e-5, 0.0, 0.0)
@@ -65,61 +60,48 @@ class TestReplace:
     def test_as_dict_is_json_ready(self):
         import json
         cfg = SimConfig(lattice="D2Q9", viscosity=0.05, fusion=FUSED_FULL,
-                        dtype=np.float32, threaded=False)
+                        dtype=np.float32)
         d = cfg.as_dict()
         json.dumps(d)
         assert d["lattice"] == "D2Q9"
         assert d["fusion"] == FUSED_FULL.name
         assert d["dtype"] == "float32"
-        assert d["threaded"] is False
+        assert len(d) == 9  # one entry per SimConfig field
 
 
 class TestShim:
-    def test_legacy_kwargs_warn_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "_legacy_warned", False)
-        spec = cavity_spec()
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            sim = Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                             threaded=False)
-        sim.close()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second build must stay silent
-            Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                       threaded=False).close()
+    """Keyword overrides and a prebuilt SimConfig build the same run."""
 
     def test_from_config_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sim = Simulation.from_config(
-                cavity_spec(), SimConfig(lattice="D2Q9", viscosity=0.05,
-                                         threaded=False))
+                cavity_spec(), SimConfig(lattice="D2Q9", viscosity=0.05))
         sim.close()
 
-    def test_legacy_and_config_paths_are_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "_legacy_warned", True)
+    def test_keyword_and_config_paths_are_bit_identical(self):
         spec = cavity_spec()
-        legacy = Simulation(spec, "D2Q9", "bgk", viscosity=0.05,
-                            config=FUSED_FULL, threaded=False)
-        modern = Simulation.from_config(
+        keyword = Simulation.from_config(spec, lattice="D2Q9", viscosity=0.05,
+                                         fusion=FUSED_FULL)
+        config = Simulation.from_config(
             spec, SimConfig(lattice="D2Q9", collision="bgk", viscosity=0.05,
-                            fusion=FUSED_FULL, threaded=False))
-        legacy.run(5)
-        modern.run(5)
-        for a, b in zip(legacy.engine.levels, modern.engine.levels):
+                            fusion=FUSED_FULL))
+        keyword.run(5)
+        config.run(5)
+        for a, b in zip(keyword.engine.levels, config.engine.levels):
             assert np.array_equal(a.f[:, :a.n_owned], b.f[:, :b.n_owned])
-        legacy.close()
-        modern.close()
+        keyword.close()
+        config.close()
 
     def test_from_config_overrides_apply_via_replace(self):
         base = SimConfig(lattice="D2Q9", viscosity=0.05)
-        sim = Simulation.from_config(cavity_spec(), base,
-                                     fusion="fuse-SE", threaded=False)
+        sim = Simulation.from_config(cavity_spec(), base, fusion="fuse-SE")
         assert sim.sim_config.fusion is get_config("fuse-SE")
         assert base.fusion is FUSED_FULL  # base profile untouched
         sim.close()
 
     def test_simulation_records_its_config(self):
-        cfg = SimConfig(lattice="D2Q9", viscosity=0.05, threaded=False)
+        cfg = SimConfig(lattice="D2Q9", viscosity=0.05)
         sim = Simulation.from_config(cavity_spec(), cfg)
         assert sim.sim_config == cfg
         sim.close()
