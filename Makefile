@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-compiled test-mp lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
+.PHONY: test test-compiled test-mp perfbench-test lint lint-strict docs-check analysis static-check obs report bench-smoke bench-check resilience-check serve-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,6 +19,13 @@ test-compiled:
 test-mp:
 	REPRO_BACKEND=mp $(PYTHON) -m pytest -x -q tests/test_mp_backend.py \
 		tests/test_simulation.py tests/test_fusion_equivalence.py
+
+# The benchmark's self-tests.  perfbench/spans.py wraps program hook
+# points (Engine.__init__/initialize, each collision model's collide,
+# Runtime.launch(fn=), the backend classes), so a refactor that renames
+# or reshapes one of them shows up here, not only in a benchmark run.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # ruff and mypy are optional dev tools (pip install -e ".[lint]").
 # Skipping when absent is deliberate: the guard only bypasses the tool
@@ -100,4 +107,4 @@ serve-check:
 	$(PYTHON) -m repro serve --summary --out-dir serve-artifacts
 	$(PYTHON) -m pytest -x -q tests/test_serve.py -k "fair or resume or chaos"
 
-check: lint docs-check test test-compiled test-mp analysis static-check resilience-check serve-check report bench-check
+check: lint docs-check test test-compiled test-mp perfbench-test analysis static-check resilience-check serve-check report bench-check

@@ -94,20 +94,14 @@ def _span(rows: np.ndarray) -> tuple[int, int]:
     return (int(rows.min()), int(rows.max()) + 1)
 
 
-def _entries(qs: np.ndarray, rows: np.ndarray, width: int) -> frozenset[int]:
-    """Exact entry ids of a ``(q, row)`` patch in a ``(Q, width)`` buffer."""
-    return frozenset((np.asarray(qs, dtype=np.int64) * width
-                      + np.asarray(rows, dtype=np.int64)).tolist())
-
-
 class AccessModel:
     """Symbolic per-kernel access sets from engine geometry alone.
 
     Mirrors, index array by index array, what the shadow tracer in
     :mod:`repro.core.engine` records when the body actually runs — but
-    reads only the compiled row maps, never a population value.  The
-    ``--static`` cross-check gate asserts the mirror stays a superset of
-    dynamic capture on every configuration.
+    reads only the engine's pre-resolved index maps, never a population
+    value.  The ``--static`` cross-check gate asserts the mirror stays a
+    superset of dynamic capture on every configuration.
     """
 
     def __init__(self, engine: "Engine") -> None:
@@ -121,7 +115,7 @@ class AccessModel:
 
     def has_accumulate(self, lv: int) -> bool:
         """True when level ``lv`` scatters into a parent ghost layer."""
-        return lv > 0 and self._buf(lv - 1).acc_fine_rows.size > 0
+        return lv > 0 and self._buf(lv - 1).acc_m > 0
 
     def has_explosion(self, lv: int) -> bool:
         return self._buf(lv).exp_q.size > 0
@@ -164,10 +158,10 @@ class AccessModel:
     def _accumulate(self, lv: int, mode: str) -> list[StaticAccess]:
         """Accumulate of fine level ``lv`` into its parent's ghosts."""
         parent = self._buf(lv - 1)
-        if parent.acc_fine_rows.size == 0:
+        m = parent.acc_m
+        if m == 0:
             return []
         Q, i = self.q, self.itemsize
-        m = parent.acc_fine_rows.size
         ng = parent.ghost_acc.shape[1]
         flo, fhi = _span(parent.acc_fine_rows)
         glo, ghi = _span(parent.acc_ghost_rows)
@@ -190,7 +184,7 @@ class AccessModel:
         Q, i, n = self.q, self.itemsize, buf.n_owned
         flat = buf.pull_rows.ravel()
         nvals = flat.size
-        extra = [a for a in (buf.bb_cell, buf.mov_cell, buf.sl_src) if a.size]
+        extra = [a for a in buf.patch_rows if a.size]
         all_rows = np.concatenate([flat] + extra) if extra else flat
         ghost = all_rows >= n
         n_ghost_vals = int((flat >= n).sum())
@@ -223,8 +217,7 @@ class AccessModel:
         lo, hi = _span(buf.exp_cell)
         out.append(StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
                                 0 if subsumed else i * m,
-                                entries=_entries(buf.exp_q, buf.exp_cell,
-                                                 buf.n_used)))
+                                entries=frozenset(buf.exp_dst.tolist())))
         return out
 
     def _coalesce(self, lv: int, subsumed: bool) -> list[StaticAccess]:
@@ -232,16 +225,15 @@ class AccessModel:
         i = self.itemsize
         ng = buf.ghost_acc.shape[1]
         out: list[StaticAccess] = []
-        if buf.coal_q.size:
-            m = buf.coal_q.size
+        if buf.coal_dst.size:
+            m = buf.coal_dst.size
             lo, hi = _span(buf.coal_src)
             out.append(StaticAccess(FieldRef("gacc", lv), READ, lo, hi, i * m,
-                                    entries=_entries(buf.coal_q, buf.coal_src, ng)))
+                                    entries=frozenset(buf.coal_acc.tolist())))
             lo, hi = _span(buf.coal_cell)
             out.append(StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
                                     0 if subsumed else i * m,
-                                    entries=_entries(buf.coal_q, buf.coal_cell,
-                                                     buf.n_used)))
+                                    entries=frozenset(buf.coal_dst.tolist())))
         if ng:
             out.append(StaticAccess(FieldRef("gacc", lv), WRITE, 0, ng,
                                     i * int(buf.ghost_acc.size)))

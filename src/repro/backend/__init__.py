@@ -9,20 +9,22 @@ coarse step does; a backend decides *how* it runs:
   execution, full tracing, all runtime hooks).
 * :class:`~repro.backend.compiled.CompiledBackend` — compile-once step
   plans: the first execution of each unique step shape captures the
-  kernel stream in plan-only mode, pre-resolves every field view and
-  index map, pre-allocates scratch from the buffer arena and replays
-  the plan on later steps with zero Python re-dispatch of the launch
-  path.  Bit-identical to the interpreted path by contract.
+  kernel stream in plan-only mode together with each launch's body
+  (the engine's own ``op_*`` closure, over index maps the engine
+  resolved at build), admits it, and replays those bodies on later
+  steps with zero Python re-dispatch of the launch path.  Bit-identical
+  to the interpreted path, since it runs the same kernel code.
 * :class:`~repro.backend.compiled.CompiledAABackend` — the compiled
   plan plus AA-pattern in-place streaming: population double buffers
-  the static linter proves droppable are physically replaced by arena
-  scratch (paper §VI-B's memory win).
+  the static linter proves droppable are swapped for buffer-arena slabs
+  (paper §VI-B).  Memory equals ``compiled``; the saving is the
+  linter's modelled arena figure.
 * :class:`~repro.backend.mp.MultiprocessBackend` — process-parallel
   replay of the same admitted plans: level buffers live in shared
-  memory, a spawn-based worker pool executes cost-model-balanced
-  kernel shards wave-by-wave, escaping the GIL entirely.  Bit-identical
-  to the interpreted path; worker death surfaces as a recoverable
-  :class:`~repro.backend.mp.MpWorkerError`.
+  memory, a spawn-based worker pool replays the captured engine bodies
+  as cost-model-balanced kernel shards wave-by-wave, escaping the GIL
+  entirely.  Bit-identical to the interpreted path; worker death
+  surfaces as a recoverable :class:`~repro.backend.mp.MpWorkerError`.
 
 Select a backend with ``SimConfig(backend="compiled")`` or the
 ``$REPRO_BACKEND`` environment variable; the default is interpreted.

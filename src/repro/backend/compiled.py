@@ -2,10 +2,11 @@
 
 The first execution of each unique step shape — fusion config, per-level
 relaxation rates, body force, engine state epoch — compiles a
-:class:`~repro.backend.plan.StepPlan` (capture, admit, pre-resolve,
-pre-allocate; see :mod:`repro.backend.compiler`) and caches it.  Every
-later step of the same shape replays the cached plan with zero Python
-re-dispatch of the launch path.
+:class:`~repro.backend.plan.StepPlan` (capture records and bodies,
+admit, and for AA swap in arena slabs; see
+:mod:`repro.backend.compiler`) and caches it.  Every later step of the
+same shape replays the cached plan with zero Python re-dispatch of the
+launch path.
 
 Runtime hooks that must observe or intercept *individual launches*
 (tracer, fault injector) make replay meaningless, so steps running
@@ -108,12 +109,10 @@ class CompiledAABackend(CompiledBackend):
 
     Population double buffers the lint pass proves droppable — the fused
     CASE path never reads ``fstar`` outside its own substep — are
-    physically replaced by arena scratch, so the engine's ``fstar``
-    allocation on those levels goes cold.  Field values the stream
-    declares as outputs stay bit-identical to the interpreted path;
-    *undeclared* buffer contents (the dropped ``fstar``) intentionally
-    diverge, which is why this is a separate opt-in backend rather than
-    the ``compiled`` default.
+    swapped for arena slabs of the same size, which the engine then uses
+    in their place; the memory in use equals :class:`CompiledBackend`'s.
+    Field values the stream declares as outputs stay bit-identical to
+    the interpreted path, and only those are part of the contract.
     """
 
     name = "compiled-aa"

@@ -1,42 +1,35 @@
-"""Step-plan compiler: capture, admit, pre-resolve, pre-allocate.
+"""Step-plan compiler: capture, admit, and (AA only) swap in arena slabs.
 
-Compilation of one coarse step runs in four stages:
+Compilation of one coarse step runs in three stages:
 
 1. **Capture** — the kernel stream is recorded in the runtime's
-   plan-only mode (:meth:`~repro.neon.runtime.Runtime.capture_plan`):
-   record-for-record identical to an executing step's trace, produced
-   without touching a population value.
+   plan-only mode (:meth:`~repro.neon.runtime.Runtime.capture_plan`),
+   record-for-record identical to an executing step's trace, each
+   record with the unexecuted body the engine's ``op_*`` launched.
 2. **Admission** — the captured stream must pass the PR-5 contract
-   before any body is built: the lint pass reports zero errors, the
-   fusion config is proven a legal contraction of the modified baseline
-   (on the *live* engine's geometry, not a canned workload), and the
+   before any body runs: the lint pass reports zero errors, the fusion
+   config is proven a legal contraction of the modified baseline (on
+   the *live* engine's geometry, not a canned workload), and the
    assembled step-plan certificate validates against the stream (digest
    + hazard order).  Failure raises
    :class:`~repro.backend.base.PlanAdmissionError` — an inadmissible
    plan is never executed.
-3. **Pre-resolution** — every field view and index map the kernel
-   bodies need is resolved once: bulk pulls, boundary patches,
-   explosion/coalescence maps and the accumulate scatter are flattened
-   to precomputed 1-D index arrays over contiguous buffer views, so a
-   replayed body is a handful of ``take``/fancy-index calls instead of
-   per-``q`` Python loops.  Adjacent elementwise expressions of the
-   fused CA/SE/SO/CASE kernels become a single pre-bound closure whose
-   sub-expressions share those resolved operands.
-4. **Scratch allocation** — temporaries (the fine-ghost stream gather,
-   AA-dropped double buffers) are packed into slabs by the
-   ``gpu/memory.py`` buffer arena (:func:`arena_assign`), and the
-   assignment is re-checked with :func:`arena_check` before any slab is
-   materialised.
+3. **AA swap** (``drop_proven`` only) — every ``fstar`` double buffer
+   the lint pass proves droppable is replaced by a slab of the
+   ``gpu/memory.py`` buffer arena (:func:`arena_assign`, re-checked with
+   :func:`arena_check`).
 
-Every closure reproduces the interpreted kernel body's NumPy operations
-in the same order on the same operands, so compiled execution is
-bit-identical to the interpreted path — the property the backend-parity
-suite asserts across all fusion configs in 2D and 3D.
+There is no second copy of any kernel here: the index maps the bodies
+need were resolved once when the engine was built
+(:class:`~repro.core.engine.LevelBuffers`), and the bodies read the
+level buffers when they run, so a plan replays the very closures the
+interpreted path executes — bit-identical by construction, which the
+backend-parity suite asserts across all fusion configs in 2D and 3D.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,11 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.stepper import NonUniformStepper
 
 __all__ = ["admit_stream", "compile_plan", "prove_plan_legality"]
-
-KernelBody = Callable[[], None]
-
-#: Kernel names whose body contains the bulk streaming gather.
-_STREAM_NAMES = ("S", "SE", "SO", "SEO", "CASE")
 
 
 def prove_plan_legality(stepper: "NonUniformStepper",
@@ -81,7 +69,7 @@ def prove_plan_legality(stepper: "NonUniformStepper",
                              verdict="baseline", pairs_checked=0,
                              primitives=0, counterexamples=())
     baseline = NonUniformStepper(stepper.engine, MODIFIED_BASELINE)
-    base_records = stepper.engine.rt.capture_plan(
+    base_records, _ = stepper.engine.rt.capture_plan(
         lambda: baseline._advance(0))
     pairs, prims, cex = check_contraction(
         base_records, model.access_map(base_records), records,
@@ -98,19 +86,22 @@ def admit_stream(stepper: "NonUniformStepper", *, workload: str = ""):
     The shared front half of every plan-replaying backend: the stream is
     captured in plan-only mode, linted, proven a legal contraction on
     the live geometry and tied to a validated certificate.  Returns
-    ``(records, certificate, lint_report)``; raises
+    ``(records, bodies, certificate, lint_report)``; raises
     :class:`~repro.backend.base.PlanAdmissionError` when any part of the
     PR-5 contract fails — an inadmissible stream is never executed, in
     this process or any worker process replaying shards of it.
     """
     engine = stepper.engine
     rt = engine.rt
-    records = rt.capture_plan(lambda: stepper._advance(0))
+    records, bodies = rt.capture_plan(lambda: stepper._advance(0))
     if not records:
         raise PlanAdmissionError(["captured step stream is empty"])
+    problems = [f"kernel {r.name!r} (record #{i}, level {r.level}) "
+                f"declares work but has no body"
+                for i, (r, b) in enumerate(zip(records, bodies)) if b is None]
     model = AccessModel(engine)
     lint = lint_stream(records, model)
-    problems = [str(f) for f in lint.errors]
+    problems.extend(str(f) for f in lint.errors)
     proof = prove_plan_legality(stepper, records, model)
     if proof.verdict == "illegal":
         problems.extend(str(c) for c in proof.counterexamples[:3])
@@ -120,7 +111,7 @@ def admit_stream(stepper: "NonUniformStepper", *, workload: str = ""):
     problems.extend(validate_certificate(cert, records))
     if problems:
         raise PlanAdmissionError(problems)
-    return records, cert, lint
+    return records, bodies, cert, lint
 
 
 def compile_plan(stepper: "NonUniformStepper", *, drop_proven: bool = False,
@@ -130,10 +121,10 @@ def compile_plan(stepper: "NonUniformStepper", *, drop_proven: bool = False,
     ``drop_proven`` enables AA-pattern in-place streaming: population
     double buffers the lint pass proves droppable (allocated but never
     accessed by any kernel of the stream — the CASE register file) are
-    physically replaced by arena scratch instead of the engine buffer.
+    replaced by arena slabs, which the engine then uses in their place.
     """
     engine = stepper.engine
-    records, cert, lint = admit_stream(stepper, workload=workload)
+    records, bodies, cert, lint = admit_stream(stepper, workload=workload)
     label = workload or f"live-{engine.mgrid.d}d-{stepper.num_levels}lvl"
 
     dropped: tuple[str, ...] = ()
@@ -143,325 +134,36 @@ def compile_plan(stepper: "NonUniformStepper", *, drop_proven: bool = False,
         dropped = tuple(f.field for f in lint.opportunities
                         if f.check == "droppable-buffer"
                         and f.field.startswith("fstar@"))
-
-    builder = _PlanBuilder(engine, stepper.config, records, dropped)
-    bodies, lifetimes, arena_bytes = builder.build()
+    lifetimes, arena_bytes = _swap_in_slabs(engine, dropped, len(records))
     return StepPlan(records, bodies, digest=cert["stream_digest"],
                     certificate=cert, arena=lifetimes,
                     arena_bytes=arena_bytes, dropped=dropped,
                     label=f"{stepper.config.name}/{label}")
 
 
-class _Level:
-    """Pre-resolved views and index maps of one level's buffers.
+def _swap_in_slabs(engine, dropped: tuple[str, ...],
+                   n_records: int) -> tuple[list[BufferLifetime], int]:
+    """Back each dropped ``fstar`` with an arena slab instead of its own buffer.
 
-    Index maps flatten 2-D ``(q, row)`` addressing into precomputed 1-D
-    indices over the contiguous ``(Q, n_used)`` buffers, so every kernel
-    body is a single gather/scatter instead of a per-``q`` loop.  Built
-    lazily: a plan only pays for the maps its stream uses.
+    A dropped buffer is the CASE register file, live for the whole step.
+    Its contents carry over, so the swap changes storage, not state.
     """
-
-    def __init__(self, engine: Any, lv: int,
-                 fstar_store: np.ndarray | None) -> None:
-        buf = engine.levels[lv]
-        self.buf = buf
-        self.Q = engine.lat.q
-        self.n = buf.n_owned
-        self.n_used = buf.n_used
-        self.ng = buf.ghost_acc.shape[1]
-        # row offset of population q in the flattened (Q, n_used) buffer
-        self.qoff = (np.arange(self.Q, dtype=np.int64) * self.n_used)[:, None]
-        self.f_flat = buf.f.reshape(-1)
-        self.f_view = buf.f[:, :self.n]
-        #: The array standing in for ``fstar``: the engine buffer, or an
-        #: arena slab when the double buffer was proven droppable.
-        self.fstar = fstar_store if fstar_store is not None else buf.fstar
-        self.fstar_flat = self.fstar.reshape(-1)
-        self.fstar_view = self.fstar[:, :self.n]
-        self.gacc = buf.ghost_acc
-        self.gacc_flat = buf.ghost_acc.reshape(-1)
-        self._maps: dict[str, Any] = {}
-
-    def map(self, key: str, make: Callable[[], Any]) -> Any:
-        got = self._maps.get(key)
-        if got is None:
-            got = make()
-            self._maps[key] = got
-        return got
-
-    def pull_flat(self) -> np.ndarray:
-        return self.map("pull", lambda: np.ascontiguousarray(
-            (self.qoff + self.buf.pull_rows).reshape(-1)))
-
-    def patches(self) -> tuple:
-        """Boundary-patch scatter maps, in interpreted apply order."""
-        def make() -> tuple:
-            b = self.buf
-            nu = self.n_used
-            bb = ((b.bb_q * nu + b.bb_cell, b.bb_opp * nu + b.bb_cell)
-                  if b.bb_q.size else None)
-            mov = ((b.mov_q * nu + b.mov_cell, b.mov_opp * nu + b.mov_cell,
-                    b.mov_term) if b.mov_q.size else None)
-            out = ((b.out_q * nu + b.out_cell, b.out_val)
-                   if b.out_q.size else None)
-            sl = ((b.sl_q * nu + b.sl_cell, b.sl_src_q * nu + b.sl_src)
-                  if b.sl_q.size else None)
-            return bb, mov, out, sl
-        return self.map("patches", make)
-
-
-class _PlanBuilder:
-    """Builds the body closures and arena scratch of one step plan."""
-
-    def __init__(self, engine: Any, config: Any,
-                 records: list[KernelRecord],
-                 dropped: tuple[str, ...]) -> None:
-        self.engine = engine
-        self.config = config
-        self.records = records
-        self.itemsize = engine.itemsize
-        self.dropped_levels = {int(f.partition("@")[2]) for f in dropped}
-        self._levels: dict[int, _Level] = {}
-        self._scratch: dict[str, np.ndarray] = {}
-
-    # -- arena ---------------------------------------------------------------
-    def _scratch_requests(self) -> list[BufferLifetime]:
-        """Scratch the plan needs, as arena lifetime requests.
-
-        AA-dropped double buffers live for the whole step (they are the
-        CASE register file between collide and stream); the fine-ghost
-        stream gather staging is live for exactly its own record, so the
-        arena can fold every staging buffer onto one slab.
-        """
-        reqs: list[BufferLifetime] = []
-        last = len(self.records) - 1
-        Q = self.engine.lat.q
-        for lv in sorted(self.dropped_levels):
-            buf = self.engine.levels[lv]
-            reqs.append(BufferLifetime(
-                name=f"plan:fstar@{lv}",
-                nbytes=Q * buf.n_used * self.itemsize, first=0, last=last))
-        for i, rec in enumerate(self.records):
-            if rec.name in _STREAM_NAMES:
-                buf = self.engine.levels[rec.level]
-                if buf.n_owned < buf.n_used:
-                    reqs.append(BufferLifetime(
-                        name=f"plan:stream@{rec.level}#{i}",
-                        nbytes=Q * buf.n_owned * self.itemsize,
-                        first=i, last=i))
-        return reqs
-
-    def _allocate(self) -> tuple[list[BufferLifetime], int]:
-        lifetimes = arena_assign(self._scratch_requests())
-        problems = arena_check(lifetimes)
-        if problems:
-            raise PlanAdmissionError(
-                [f"plan arena: {p}" for p in problems])
-        slab_nbytes: dict[int, int] = {}
-        for lt in lifetimes:
-            slab_nbytes[lt.slab] = max(slab_nbytes.get(lt.slab, 0), lt.nbytes)
-        dtype = self.engine.dtype
-        slabs = {s: np.empty(-(-nb // self.itemsize), dtype=dtype)
-                 for s, nb in slab_nbytes.items()}
-        for lt in lifetimes:
-            self._scratch[lt.name] = slabs[lt.slab][:lt.nbytes // self.itemsize]
-        return lifetimes, arena_peak_bytes(lifetimes)
-
-    def _level(self, lv: int) -> _Level:
-        L = self._levels.get(lv)
-        if L is None:
-            store = None
-            if lv in self.dropped_levels:
-                buf = self.engine.levels[lv]
-                store = self._scratch[f"plan:fstar@{lv}"].reshape(
-                    self.engine.lat.q, buf.n_used)
-            L = _Level(self.engine, lv, store)
-            self._levels[lv] = L
-        return L
-
-    # -- kernel-body builders ------------------------------------------------
-    # Each builder returns a closure reproducing the interpreted body's
-    # NumPy operations in the same order on the same operands — the
-    # bit-identity contract.  Empty sub-maps compile to no code, exactly
-    # like the interpreted bodies' early returns.
-    def _make_collide(self, lv: int, with_accumulate: bool) -> KernelBody:
-        L = self._level(lv)
-        collide = self.engine.collision.collide
-        omega = self.engine.omega[lv]
-        force = self.engine.force[lv]
-        f_view, fstar_view = L.f_view, L.fstar_view
-        acc = self._make_accumulate(lv) if with_accumulate else None
-        if acc is None:
-            def body() -> None:
-                collide(f_view, omega, out=fstar_view, force=force)
-            return body
-
-        def body_ca() -> None:
-            collide(f_view, omega, out=fstar_view, force=force)
-            acc()
-        return body_ca
-
-    def _make_accumulate(self, fine_lv: int) -> KernelBody | None:
-        """Accumulate fine level ``fine_lv`` into its parent's ghosts.
-
-        The per-``q`` ``bincount`` loop folds into one flat ``bincount``
-        over ``q``-offset bins: contributions to each bin keep their
-        original order, so the float accumulation order — and therefore
-        the result — is bitwise identical.
-        """
-        parent = self.engine.levels[fine_lv - 1]
-        if parent.acc_ghost_rows.size == 0:
-            return None
-        P, F = self._level(fine_lv - 1), self._level(fine_lv)
-        rows_flat = np.ascontiguousarray(
-            ((np.arange(P.Q, dtype=np.int64) * P.ng)[:, None]
-             + parent.acc_ghost_rows).reshape(-1))
-        src_flat = np.ascontiguousarray(
-            (F.qoff + parent.acc_fine_rows).reshape(-1))
-        minlength = P.Q * P.ng
-        gacc_flat, fstar_flat = P.gacc_flat, F.fstar_flat
-        bincount = np.bincount
-
-        def body() -> None:
-            gacc_flat[:] += bincount(rows_flat, weights=fstar_flat[src_flat],
-                                     minlength=minlength)
-        return body
-
-    def _make_stream(self, i: int, lv: int, *, do_exp: bool, do_coal: bool,
-                     from_ghost: bool) -> KernelBody:
-        L = self._level(lv)
-        take = np.take
-        pull_flat = L.pull_flat()
-        bb, mov, out, sl = L.patches()
-        f_flat, fstar_flat = L.f_flat, L.fstar_flat
-        if L.n == L.n_used:
-            stage = None
-        else:  # gather staged through the arena, then one strided copy
-            stage = self._scratch[f"plan:stream@{lv}#{i}"]
-        stage2d = stage.reshape(L.Q, L.n) if stage is not None else None
-        f_view = L.f_view
-        exp = self._make_explode(lv, from_ghost) if do_exp else None
-        coal = self._make_coalesce(lv) if do_coal else None
-
-        def body() -> None:
-            if stage is None:
-                take(fstar_flat, pull_flat, out=f_flat)
-            else:
-                take(fstar_flat, pull_flat, out=stage)
-                f_view[:] = stage2d
-            # boundary patches, in the interpreted order: the patch sets
-            # may overlap at a (q, cell) and last-write-wins must hold
-            if bb is not None:
-                f_flat[bb[0]] = fstar_flat[bb[1]]
-            if mov is not None:
-                f_flat[mov[0]] = fstar_flat[mov[1]] + mov[2]
-            if out is not None:
-                f_flat[out[0]] = out[1]
-            if sl is not None:
-                f_flat[sl[0]] = fstar_flat[sl[1]]
-            if exp is not None:
-                exp()
-            if coal is not None:
-                coal()
-        return body
-
-    def _make_explode(self, lv: int, from_ghost: bool) -> KernelBody | None:
-        L = self._level(lv)
-        b = L.buf
-        if b.exp_q.size == 0:
-            return None
-        dst = b.exp_q * L.n_used + b.exp_cell
-        if from_ghost:
-            src = b.exp_q * L.n_used + b.exp_ghost_rows
-            src_flat = L.fstar_flat
-        else:
-            C = self._level(lv - 1)
-            src = b.exp_q * C.n_used + b.exp_rows
-            src_flat = C.fstar_flat
-        f_flat = L.f_flat
-
-        def body() -> None:
-            f_flat[dst] = src_flat[src]
-        return body
-
-    def _make_coalesce(self, lv: int) -> KernelBody:
-        L = self._level(lv)
-        b = L.buf
-        inv_navg = self.engine.inv_navg
-        gacc, gacc_flat, f_flat = L.gacc, L.gacc_flat, L.f_flat
-        if b.coal_q.size == 0:
-            def reset_only() -> None:
-                gacc.fill(0.0)
-            return reset_only
-        dst = b.coal_q * L.n_used + b.coal_cell
-        src = b.coal_q * L.ng + b.coal_src
-
-        def body() -> None:
-            f_flat[dst] = gacc_flat[src] * inv_navg
-            gacc.fill(0.0)
-        return body
-
-    def _make_explosion_copy(self, lv: int) -> KernelBody:
-        """Original baseline's Explosion: coarse f* into fine-ghost rows."""
-        L, C = self._level(lv), self._level(lv - 1)
-        b = L.buf
-        dst = np.ascontiguousarray((L.qoff + b.fg_rows).reshape(-1))
-        src = np.ascontiguousarray((C.qoff + b.fg_coarse_rows).reshape(-1))
-        fstar_flat, coarse_flat = L.fstar_flat, C.fstar_flat
-
-        def body() -> None:
-            fstar_flat[dst] = coarse_flat[src]
-        return body
-
-    def _make_case(self, i: int, lv: int) -> KernelBody:
-        """The fully fused CASE substep as one pre-bound closure."""
-        collide = self._make_collide(lv, with_accumulate=False)
-        acc = self._make_accumulate(lv) if lv > 0 else None
-        stream = self._make_stream(i, lv, do_exp=False, do_coal=False,
-                                   from_ghost=False)
-        exp = self._make_explode(lv, from_ghost=False) if lv > 0 else None
-
-        def body() -> None:
-            collide()
-            if acc is not None:
-                acc()
-            stream()
-            if exp is not None:
-                exp()
-        return body
-
-    # -- dispatch ------------------------------------------------------------
-    def build(self) -> tuple[list[KernelBody], list[BufferLifetime], int]:
-        """Compile every record of the captured stream to a body closure."""
-        lifetimes, arena_bytes = self._allocate()
-        original = bool(self.config.original_layout)
-        bodies: list[KernelBody] = []
-        for i, rec in enumerate(self.records):
-            lv, name = rec.level, rec.name
-            body: KernelBody | None
-            if name in ("C", "CA"):
-                body = self._make_collide(lv, with_accumulate=(name == "CA"))
-            elif name == "A":
-                body = self._make_accumulate(lv)
-            elif name == "E" and any(w.name == "fghost" for w in rec.writes):
-                body = self._make_explosion_copy(lv)
-            elif name == "E":
-                body = self._make_explode(lv, from_ghost=original)
-            elif name in ("S", "SE", "SO", "SEO"):
-                body = self._make_stream(
-                    i, lv, do_exp=name in ("SE", "SEO"),
-                    do_coal=name in ("SO", "SEO"), from_ghost=original)
-            elif name == "O":
-                body = self._make_coalesce(lv)
-            elif name == "CASE":
-                body = self._make_case(i, lv)
-            else:
-                raise PlanAdmissionError(
-                    [f"no compiled body for kernel {name!r} "
-                     f"(record #{i}, level {lv})"])
-            if body is None:
-                raise PlanAdmissionError(
-                    [f"kernel {name!r} (record #{i}, level {lv}) declares "
-                     f"work but compiles to an empty body"])
-            bodies.append(body)
-        return bodies, lifetimes, arena_bytes
+    reqs = [BufferLifetime(name=f"plan:{field}",
+                           nbytes=engine.levels[int(field.partition("@")[2])]
+                           .fstar.nbytes, first=0, last=n_records - 1)
+            for field in dropped]
+    lifetimes = arena_assign(reqs)
+    problems = arena_check(lifetimes)
+    if problems:
+        raise PlanAdmissionError([f"plan arena: {p}" for p in problems])
+    slab_nbytes: dict[int, int] = {}
+    for lt in lifetimes:
+        slab_nbytes[lt.slab] = max(slab_nbytes.get(lt.slab, 0), lt.nbytes)
+    slabs = {s: np.empty(-(-nb // engine.itemsize), dtype=engine.dtype)
+             for s, nb in slab_nbytes.items()}
+    for lt in lifetimes:
+        buf = engine.levels[int(lt.name.partition("@")[2])]
+        store = slabs[lt.slab][:buf.fstar.size].reshape(buf.fstar.shape)
+        store[:] = buf.fstar
+        buf.fstar = store
+    return lifetimes, arena_peak_bytes(lifetimes)

@@ -12,10 +12,9 @@ between waves.
 
 Bit-identity is inherited, not re-derived:
 
-* workers build their kernel bodies with the same
-  :class:`~repro.backend.compiler._PlanBuilder` the compiled backend
-  uses, over the same captured stream (digest-checked against the
-  parent's admission certificate), on the same shared buffers;
+* workers replay the same engine kernel bodies the other backends run,
+  captured with the same stream (digest-checked against the parent's
+  admission certificate) and reading the shared buffers when they run;
 * the only mp-specific body is the column shard of a pure collide
   kernel — collision is a per-cell operator, so a column slice computes
   exactly the values the whole-buffer call would;
@@ -195,11 +194,9 @@ def _shard_collide(engine, rec, lo: int, hi: int):
     collide = engine.collision.collide
     omega = engine.omega[rec.level]
     force = engine.force[rec.level]
-    f = buf.f[:, lo:hi]
-    out = buf.fstar[:, lo:hi]
 
     def body() -> None:
-        collide(f, omega, out=out, force=force)
+        collide(buf.f[:, lo:hi], omega, out=buf.fstar[:, lo:hi], force=force)
     return body
 
 
@@ -236,7 +233,6 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
         shm = shared_memory.SharedMemory(name=setup["shm"])
         engine = Engine(setup["mgrid"], setup["collision"], omega0=1.0,
                         dtype=setup["dtype"])
-        engine._link_levels()
         _attach_shared(engine.levels, shm, setup["manifest"], engine.dtype)
         stepper = NonUniformStepper(engine, setup["fusion"])
         plans: dict[int, tuple[int, list]] = {}
@@ -252,7 +248,7 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
                     engine.omega = list(payload["omega"])
                     engine.force = [None if fv is None else np.asarray(fv)
                                     for fv in payload["force"]]
-                    records = engine.rt.capture_plan(
+                    records, bodies = engine.rt.capture_plan(
                         lambda: stepper._advance(0))
                     mine = stream_digest(records)
                     if mine != payload["digest"]:
@@ -260,9 +256,6 @@ def _worker_main(worker_id: int, blob: bytes, conn, barrier,
                                    ("digest", f"worker stream digest {mine} "
                                     f"!= parent {payload['digest']}")))
                         continue
-                    from .compiler import _PlanBuilder
-                    bodies, _, _ = _PlanBuilder(
-                        engine, stepper.config, records, ()).build()
                     plans[plan_id] = (payload["n_waves"], _build_shards(
                         engine, records, bodies, payload["waves"]))
                     conn.send(("plan-ok", plan_id, None))
@@ -565,7 +558,7 @@ class MultiprocessBackend:
         plan = self._plans.get(key)
         if plan is None:
             t0 = perf_counter()
-            records, cert, _lint = admit_stream(stepper)
+            records, _bodies, cert, _lint = admit_stream(stepper)
             waves = schedule_records(records)
             assignment = _partition(records, waves, self.workers)
             plan = _MpPlan(self._next_plan_id, records,

@@ -1,15 +1,15 @@
-"""Compiled step plans: a pre-resolved kernel stream replayed without dispatch.
+"""Compiled step plans: a captured kernel stream replayed without dispatch.
 
 A :class:`StepPlan` is the product of one plan compilation
 (:mod:`repro.backend.compiler`): the captured
 :class:`~repro.neon.runtime.KernelRecord` stream of one coarse step,
-one pre-bound body closure per record (field views resolved, index maps
-flattened, scratch assigned from the buffer arena), the stream digest
-that ties the plan to its admission certificate, and the arena model the
-scratch came from.  :meth:`StepPlan.execute` is the entire replay hot
-path: call the closures in order, append the prebuilt records — no
-``Runtime.launch``, no record construction, no per-launch Python
-re-dispatch.
+the body each of those launches handed the runtime (the engine's own
+kernel closures, over index maps resolved at engine build), the stream
+digest that ties the plan to its admission certificate, and the arena
+model behind any AA-swapped buffers.  :meth:`StepPlan.execute` is the
+entire replay hot path: call the closures in order, append the
+prebuilt records — no ``Runtime.launch``, no record construction, no
+per-launch Python re-dispatch.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = ["StepPlan"]
 
 
 class StepPlan:
-    """One compiled coarse step: prebuilt records plus pre-bound bodies.
+    """One compiled coarse step: prebuilt records plus captured bodies.
 
     The record tuple is shared across every replay (records are frozen
     dataclasses; appending the same instances each step is what makes
@@ -49,9 +49,9 @@ class StepPlan:
         self.digest = digest
         #: Admission certificate the plan validated against (PR-5 schema).
         self.certificate = certificate
-        #: Arena lifetimes backing the plan's scratch allocations.
+        #: Arena lifetimes of the AA-swapped buffers.
         self.arena: tuple["BufferLifetime", ...] = tuple(arena)
-        #: Arena capacity the scratch slabs occupy, in bytes.
+        #: Arena capacity the AA slabs occupy, in bytes.
         self.arena_bytes = int(arena_bytes)
         #: Fields whose double buffer was physically dropped (AA mode).
         self.dropped: tuple[str, ...] = tuple(dropped)

@@ -3,12 +3,14 @@
 The engine owns, per level, the two population buffers (``f`` holds the
 post-streaming state at the start of a substep, ``fstar`` the
 post-collision state) and the ghost-layer accumulator, plus every
-streaming map translated from grid slots to compact *row* space: rows
-``0..n_owned-1`` are the owned cells, followed by the fine-ghost rows the
-original baseline needs.  Each ``op_*`` method is one GPU kernel: it
-executes vectorised NumPy immediately and emits one launch record with
-the DRAM traffic the equivalent CUDA kernel would generate — this is what
-the cost model consumes.
+streaming map, resolved once at build into *flat* indices over those
+contiguous ``(Q, n)`` buffers.  Rows ``0..n_owned-1`` are the owned cells,
+followed by the fine-ghost rows the original baseline needs.  Each
+``op_*`` method is one GPU kernel: it emits one launch record with the
+DRAM traffic the equivalent CUDA kernel would generate — this is what the
+cost model consumes — and hands the runtime its body.  These bodies are
+the only implementation of each kernel: interpreted runs execute them per
+launch, compiled step plans and mp workers replay the same closures.
 
 Fused kernels execute the same arithmetic as their unfused sequence (the
 intermediate lives in the ``fstar`` buffer, playing the role of the GPU's
@@ -20,7 +22,7 @@ but not arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +33,50 @@ from .units import omega_at_level
 
 __all__ = ["Engine", "LevelBuffers"]
 
+#: Values per block of the q-blocked stream gather and accumulate
+#: ``bincount``: large enough to amortise the per-call overhead, small
+#: enough that each gathered temporary stays in cache.
+GATHER_BLOCK = 32768
+
+
+def _q_rows(Q: int, per_q: int) -> int:
+    """Populations per q-block for a map with ``per_q`` entries per q."""
+    return max(1, min(Q, GATHER_BLOCK // max(per_q, 1)))
+
 
 @dataclass
 class LevelBuffers:
-    """Per-level state and row-space maps."""
+    """Per-level state and its pre-resolved index maps.
+
+    The maps the kernel bodies replay are *flat*: indices into the
+    ``reshape(-1)`` of a contiguous ``(Q, n)`` buffer, each replacing the
+    ``(q, row)`` map it is derived from.  The row forms the tracer, the
+    static access model and tests read are derived on demand by the
+    properties below.  Maps only the original baseline uses
+    (``exp_ghost_rows``, ``fg_rows``, ``fg_coarse_rows``) stay in row form.
+    """
 
     f: np.ndarray                 # (Q, n_used) post-streaming populations
     fstar: np.ndarray             # (Q, n_used) post-collision populations
     ghost_acc: np.ndarray         # (Q, n_ghost) Accumulate sums
     n_owned: int
     n_used: int
-    pull_rows: np.ndarray         # (Q, n_owned) same-level gather rows
-    bb_q: np.ndarray; bb_cell: np.ndarray; bb_opp: np.ndarray
-    mov_q: np.ndarray; mov_cell: np.ndarray; mov_opp: np.ndarray; mov_term: np.ndarray
-    out_q: np.ndarray; out_cell: np.ndarray; out_val: np.ndarray
-    sl_q: np.ndarray; sl_cell: np.ndarray; sl_src_q: np.ndarray; sl_src: np.ndarray
+    pull: np.ndarray              # (Q, n_owned) flat same-level gather into fstar
+    pull_blocks: tuple[slice, ...]  # q-blocks of the stream gather
+    bb_dst: np.ndarray; bb_src: np.ndarray
+    mov_dst: np.ndarray; mov_src: np.ndarray; mov_term: np.ndarray
+    out_dst: np.ndarray; out_val: np.ndarray
+    sl_dst: np.ndarray; sl_src: np.ndarray
     sb_q: np.ndarray; sb_cell: np.ndarray; sb_opp: np.ndarray; sb_e: np.ndarray
-    exp_q: np.ndarray; exp_cell: np.ndarray; exp_rows: np.ndarray
-    exp_ghost_rows: np.ndarray
-    coal_q: np.ndarray; coal_cell: np.ndarray; coal_src: np.ndarray
-    acc_fine_rows: np.ndarray     # rows in the FINER level's buffers
-    acc_ghost_rows: np.ndarray
+    #: Explosion writes ``exp_dst`` of f from ``exp_src`` of the coarser
+    #: fstar; Coalescence writes ``coal_dst`` of f from ``coal_acc`` of
+    #: ghost_acc.  ``*_cells`` count the distinct cells each writes.
+    exp_q: np.ndarray; exp_dst: np.ndarray; exp_src: np.ndarray
+    exp_ghost_rows: np.ndarray; exp_cells: int
+    coal_dst: np.ndarray; coal_acc: np.ndarray; coal_cells: int
+    #: q-blocked accumulate maps: ``acc_k`` populations of bins into
+    #: ``ghost_acc`` and sources in the FINER level's ``fstar``, q-major.
+    acc_bins: np.ndarray; acc_src: np.ndarray
     fg_rows: np.ndarray           # this level's fine-ghost rows (4a)
     fg_coarse_rows: np.ndarray    # rows in the coarser level's buffers
     meta_bytes: int               # per-pass structural metadata traffic
@@ -60,6 +85,59 @@ class LevelBuffers:
     #: n_owned; original baseline only) — the S kernel then reads the
     #: logical ``fghost`` field in addition to ``fstar``.
     pulls_fghost: bool = False
+    acc_k: int = 1
+    exp_stride: int = 0           # n_used of the coarser level
+
+    # -- row forms, derived on demand ------------------------------------------
+    @property
+    def pull_rows(self) -> np.ndarray:
+        return self.pull - (np.arange(self.pull.shape[0]) * self.n_used)[:, None]
+
+    @property
+    def patch_rows(self) -> list[np.ndarray]:
+        """Source rows of the bounce-back, moving-wall and free-slip patches."""
+        return [a % self.n_used for a in (self.bb_src, self.mov_src, self.sl_src)]
+
+    @property
+    def out_q(self) -> np.ndarray:
+        return self.out_dst // self.n_used
+
+    @property
+    def out_cell(self) -> np.ndarray:
+        return self.out_dst % self.n_used
+
+    @property
+    def exp_cell(self) -> np.ndarray:
+        return self.exp_dst % self.n_used
+
+    @property
+    def exp_rows(self) -> np.ndarray:
+        return self.exp_src % max(self.exp_stride, 1)
+
+    @property
+    def coal_q(self) -> np.ndarray:
+        return self.coal_dst // self.n_used
+
+    @property
+    def coal_cell(self) -> np.ndarray:
+        return self.coal_dst % self.n_used
+
+    @property
+    def coal_src(self) -> np.ndarray:
+        return self.coal_acc % max(self.ghost_acc.shape[1], 1)
+
+    @property
+    def acc_m(self) -> int:
+        """Fine cells the Accumulate scatter reads (per population)."""
+        return self.acc_bins.size // self.acc_k
+
+    @property
+    def acc_ghost_rows(self) -> np.ndarray:
+        return self.acc_bins[:self.acc_m]
+
+    @property
+    def acc_fine_rows(self) -> np.ndarray:
+        return self.acc_src[:self.acc_m]
 
 
 class Engine:
@@ -97,6 +175,7 @@ class Engine:
         #: so a stale plan is never replayed against replaced buffers.
         self.state_epoch = 0
         self.levels = [self._build_level(cl) for cl in mgrid.levels]
+        self._link_levels()
 
     # -- setup ----------------------------------------------------------------
     def _build_level(self, cl: CompiledLevel) -> LevelBuffers:
@@ -107,33 +186,43 @@ class Engine:
         n_fg = cl.fine_ghost_slots.size
         row_of_slot[cl.fine_ghost_slots] = cl.n_owned + np.arange(n_fg)
         n_used = cl.n_owned + n_fg
+        ng = cl.n_ghost
 
-        pull_rows = row_of_slot[cl.pull_src]
-        if (pull_rows < 0).any():
+        pull = row_of_slot[cl.pull_src]
+        if (pull < 0).any():
             raise AssertionError("interior pull references an unallocated row")
         sl_src_rows = row_of_slot[cl.sl_src] if cl.sl_src.size else cl.sl_src
-        pulls_fghost = bool((pull_rows >= cl.n_owned).any()
+        pulls_fghost = bool((pull >= cl.n_owned).any()
                             or (sl_src_rows >= cl.n_owned).any())
+        # q-offset form, in place: the flat map replaces the row map
+        pull += (np.arange(Q, dtype=np.int64) * n_used)[:, None]
+        k = _q_rows(Q, cl.n_owned)
         grid_meta = sum(cl.grid.metadata_bytes().values())
         return LevelBuffers(
             f=np.zeros((Q, n_used), dtype=self.dtype),
             fstar=np.zeros((Q, n_used), dtype=self.dtype),
-            ghost_acc=np.zeros((Q, cl.n_ghost), dtype=self.dtype),
-            n_owned=cl.n_owned, n_used=n_used, pull_rows=pull_rows,
-            bb_q=cl.bb_q, bb_cell=cl.bb_cell, bb_opp=lat.opp[cl.bb_q],
-            mov_q=cl.mov_q, mov_cell=cl.mov_cell, mov_opp=lat.opp[cl.mov_q],
+            ghost_acc=np.zeros((Q, ng), dtype=self.dtype),
+            n_owned=cl.n_owned, n_used=n_used, pull=pull,
+            pull_blocks=tuple(slice(q0, q0 + k) for q0 in range(0, Q, k)),
+            bb_dst=cl.bb_q * n_used + cl.bb_cell,
+            bb_src=lat.opp[cl.bb_q] * n_used + cl.bb_cell,
+            mov_dst=cl.mov_q * n_used + cl.mov_cell,
+            mov_src=lat.opp[cl.mov_q] * n_used + cl.mov_cell,
             mov_term=cl.mov_term,
-            out_q=cl.out_q, out_cell=cl.out_cell, out_val=cl.out_val,
-            sl_q=cl.sl_q, sl_cell=cl.sl_cell, sl_src_q=cl.sl_src_q,
-            sl_src=sl_src_rows,
+            out_dst=cl.out_q * n_used + cl.out_cell, out_val=cl.out_val,
+            sl_dst=cl.sl_q * n_used + cl.sl_cell,
+            sl_src=cl.sl_src_q * n_used + sl_src_rows,
             sb_q=cl.sb_q, sb_cell=cl.sb_cell, sb_opp=lat.opp[cl.sb_q],
             sb_e=lat.ef[lat.opp[cl.sb_q]],
-            exp_q=cl.exp_q, exp_cell=cl.exp_cell, exp_rows=np.empty(0, dtype=np.int64),
+            exp_q=cl.exp_q, exp_dst=cl.exp_q * n_used + cl.exp_cell,
+            exp_src=np.empty(0, dtype=np.int64),
             exp_ghost_rows=row_of_slot[cl.exp_ghost_src] if cl.exp_ghost_src.size
             else cl.exp_ghost_src,
-            coal_q=cl.coal_q, coal_cell=cl.coal_cell, coal_src=cl.coal_src,
-            acc_fine_rows=np.empty(0, dtype=np.int64),
-            acc_ghost_rows=cl.acc_ghost_rows,
+            exp_cells=cl.n_interface_fine,
+            coal_dst=cl.coal_q * n_used + cl.coal_cell,
+            coal_acc=cl.coal_q * ng + cl.coal_src,
+            coal_cells=cl.n_interface_coarse,
+            acc_bins=cl.acc_ghost_rows, acc_src=np.empty(0, dtype=np.int64),
             fg_rows=row_of_slot[cl.fg_slots] if cl.fg_slots.size else cl.fg_slots,
             fg_coarse_rows=np.empty(0, dtype=np.int64),
             meta_bytes=grid_meta,
@@ -142,24 +231,29 @@ class Engine:
         )
 
     def _link_levels(self) -> None:
-        """Resolve cross-level row references (needs all levels built)."""
+        """Resolve cross-level maps (needs all levels built)."""
+        owned = []
+        for cl in self.mgrid.levels:
+            rows = np.full(cl.n_alloc, -1, dtype=np.int64)
+            rows[cl.owned_slots] = np.arange(cl.n_owned)
+            owned.append(rows)
         for lv, (cl, buf) in enumerate(zip(self.mgrid.levels, self.levels)):
-            if lv > 0:
-                coarse_cl = self.mgrid.levels[lv - 1]
-                coarse_rows = np.full(coarse_cl.n_alloc, -1, dtype=np.int64)
-                coarse_rows[coarse_cl.owned_slots] = np.arange(coarse_cl.n_owned)
-                buf.exp_rows = coarse_rows[cl.exp_src] if cl.exp_src.size else cl.exp_src
-                if cl.fg_coarse_src.size:
-                    buf.fg_coarse_rows = coarse_rows[cl.fg_coarse_src]
-                if buf.exp_rows.size and (buf.exp_rows < 0).any():
+            if cl.exp_src.size:
+                exp_rows = owned[lv - 1][cl.exp_src]
+                if (exp_rows < 0).any():
                     raise AssertionError("explosion source is not an owned coarse cell")
-            if lv < self.mgrid.num_levels - 1 and cl.acc_fine_slots.size:
-                fine_cl = self.mgrid.levels[lv + 1]
-                fine_rows = np.full(fine_cl.n_alloc, -1, dtype=np.int64)
-                fine_rows[fine_cl.owned_slots] = np.arange(fine_cl.n_owned)
-                buf.acc_fine_rows = fine_rows[cl.acc_fine_slots]
-                if (buf.acc_fine_rows < 0).any():
+                buf.exp_stride = self.levels[lv - 1].n_used
+                buf.exp_src = cl.exp_q * buf.exp_stride + exp_rows
+            if cl.fg_coarse_src.size:
+                buf.fg_coarse_rows = owned[lv - 1][cl.fg_coarse_src]
+            if cl.acc_fine_slots.size:
+                fine_rows = owned[lv + 1][cl.acc_fine_slots]
+                if (fine_rows < 0).any():
                     raise AssertionError("accumulate source is not an owned fine cell")
+                buf.acc_k = k = _q_rows(self.lat.q, fine_rows.size)
+                qs = np.arange(k, dtype=np.int64)[:, None]
+                buf.acc_bins = (qs * cl.n_ghost + buf.acc_bins).reshape(-1)
+                buf.acc_src = (qs * self.levels[lv + 1].n_used + fine_rows).reshape(-1)
 
     def initialize(self, rho: float | np.ndarray = 1.0, u=None) -> None:
         """Set every level to the local equilibrium of (rho, u).
@@ -168,7 +262,6 @@ class Engine:
         callable mapping cell-centre positions (in coarse units, ``(N, d)``)
         to velocities ``(d, N)``.
         """
-        self._link_levels()
         d = self.mgrid.d
         for lv, buf in enumerate(self.levels):
             n = buf.n_owned
@@ -250,13 +343,13 @@ class Engine:
         """
         buf = self.levels[lv]
         fine = self.levels[lv + 1]
-        if buf.acc_ghost_rows.size == 0:
+        m = buf.acc_m
+        if m == 0:
             return
         ng = buf.ghost_acc.shape[1]
         t = self._tracer()
         if t is not None:
             Q, i = self.lat.q, self.itemsize
-            m = buf.acc_fine_rows.size
             flo, fhi = self._span(buf.acc_fine_rows)
             glo, ghi = self._span(buf.acc_ghost_rows)
             t.read(FieldRef("fstar", lv + 1), flo, fhi,
@@ -268,35 +361,40 @@ class Engine:
                 if mode == "scatter":
                     t.read(FieldRef("gacc", lv), 0, ng, Q * i * ng)
                 t.atomic(FieldRef("gacc", lv), glo, ghi, Q * i * m)
-        for q in range(self.lat.q):
-            buf.ghost_acc[q] += np.bincount(
-                buf.acc_ghost_rows,
-                weights=fine.fstar[q, buf.acc_fine_rows],
-                minlength=ng)
+        # One bincount per q-block: every bin still sums its contributions
+        # in map order, so the result is bitwise the per-q accumulation.
+        gacc = buf.ghost_acc.reshape(-1)
+        src = fine.fstar.reshape(-1)
+        Q, k, nu = self.lat.q, buf.acc_k, fine.n_used
+        for q0 in range(0, Q, k):
+            nq = min(k, Q - q0)
+            gacc[q0 * ng:(q0 + nq) * ng] += np.bincount(
+                buf.acc_bins[:nq * m], weights=src[q0 * nu:][buf.acc_src[:nq * m]],
+                minlength=nq * ng)
 
     def _stream_bulk(self, lv: int) -> None:
         buf = self.levels[lv]
         n = buf.n_owned
         t = self._tracer()
         if t is not None:
-            self._trace_fstar_read(
-                t, lv, buf.pull_rows,
-                [buf.bb_cell, buf.mov_cell, buf.sl_src],
-                self.lat.q * self.itemsize * n)
+            self._trace_fstar_read(t, lv, buf.pull_rows, buf.patch_rows,
+                                   self.lat.q * self.itemsize * n)
             t.write(FieldRef("f", lv), 0, n, self.lat.q * self.itemsize * n)
             t.meta(buf.meta_bytes)
-        for q in range(self.lat.q):
-            buf.f[q, :n] = buf.fstar[q, buf.pull_rows[q]]
-        # boundary patches (part of the same kernel on the GPU)
-        if buf.bb_q.size:
-            buf.f[buf.bb_q, buf.bb_cell] = buf.fstar[buf.bb_opp, buf.bb_cell]
-        if buf.mov_q.size:
-            buf.f[buf.mov_q, buf.mov_cell] = (buf.fstar[buf.mov_opp, buf.mov_cell]
-                                              + buf.mov_term)
-        if buf.out_q.size:
-            buf.f[buf.out_q, buf.out_cell] = buf.out_val
-        if buf.sl_q.size:  # specular reflection off a free-slip plane
-            buf.f[buf.sl_q, buf.sl_cell] = buf.fstar[buf.sl_src_q, buf.sl_src]
+        f, src = buf.f, buf.fstar.reshape(-1)
+        for qs in buf.pull_blocks:
+            f[qs, :n] = src[buf.pull[qs]]
+        # boundary patches (part of the same kernel on the GPU), in this
+        # order: the patch sets may overlap and the last write wins
+        dst = f.reshape(-1)
+        if buf.bb_dst.size:
+            dst[buf.bb_dst] = src[buf.bb_src]
+        if buf.mov_dst.size:
+            dst[buf.mov_dst] = src[buf.mov_src] + buf.mov_term
+        if buf.out_dst.size:
+            dst[buf.out_dst] = buf.out_val
+        if buf.sl_dst.size:  # specular reflection off a free-slip plane
+            dst[buf.sl_dst] = src[buf.sl_src]
 
     def _explode_values(self, lv: int, from_ghost: bool,
                         subsumed: bool = False) -> None:
@@ -317,10 +415,10 @@ class Engine:
             # pull already paid for — no extra traffic
             t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else i * m)
         if from_ghost:
-            buf.f[buf.exp_q, buf.exp_cell] = buf.fstar[buf.exp_q, buf.exp_ghost_rows]
+            vals = buf.fstar[buf.exp_q, buf.exp_ghost_rows]
         else:
-            coarse = self.levels[lv - 1]
-            buf.f[buf.exp_q, buf.exp_cell] = coarse.fstar[buf.exp_q, buf.exp_rows]
+            vals = self.levels[lv - 1].fstar.reshape(-1)[buf.exp_src]
+        buf.f.reshape(-1)[buf.exp_dst] = vals
 
     def _coalesce_values(self, lv: int, subsumed: bool = False) -> None:
         buf = self.levels[lv]
@@ -328,17 +426,17 @@ class Engine:
         if t is not None:
             i = self.itemsize
             ng = buf.ghost_acc.shape[1]
-            if buf.coal_q.size:
-                m = buf.coal_q.size
+            if buf.coal_dst.size:
+                m = buf.coal_dst.size
                 lo, hi = self._span(buf.coal_src)
                 t.read(FieldRef("gacc", lv), lo, hi, i * m)
                 lo, hi = self._span(buf.coal_cell)
                 t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else i * m)
             if ng:
                 t.write(FieldRef("gacc", lv), 0, ng, i * buf.ghost_acc.size)
-        if buf.coal_q.size:
-            buf.f[buf.coal_q, buf.coal_cell] = (buf.ghost_acc[buf.coal_q, buf.coal_src]
-                                                * self.inv_navg)
+        if buf.coal_dst.size:
+            buf.f.reshape(-1)[buf.coal_dst] = (
+                buf.ghost_acc.reshape(-1)[buf.coal_acc] * self.inv_navg)
         buf.ghost_acc[:] = 0.0
 
     def _explosion_copy_values(self, lv: int) -> None:
@@ -366,8 +464,7 @@ class Engine:
         name = "C"
         m = 0
         if fuse_accumulate and lv > 0:
-            parent = self.levels[lv - 1]
-            m = parent.acc_fine_rows.size
+            m = self.levels[lv - 1].acc_m
         def body() -> None:
             self._collide_into_fstar(lv)
             if fuse_accumulate and lv > 0:
@@ -391,7 +488,7 @@ class Engine:
         if lv == 0:
             raise ValueError("level 0 has no parent to accumulate into")
         parent = self.levels[lv - 1]
-        m = parent.acc_fine_rows.size
+        m = parent.acc_m
         if m == 0:
             return
         Q = self.lat.q
@@ -435,7 +532,7 @@ class Engine:
         br = Q * self.itemsize * n + buf.meta_bytes
         bw = Q * self.itemsize * n
         do_exp = fuse_explosion and buf.exp_q.size > 0
-        do_coal = fuse_coalescence and buf.coal_q.size > 0
+        do_coal = fuse_coalescence and buf.coal_dst.size > 0
         if do_exp:
             name = name + "E"
             reads.append(FieldRef("fghost", lv) if exp_from_ghost
@@ -445,7 +542,7 @@ class Engine:
             name = ("SEO" if do_exp else "SO")
             reads.append(FieldRef("gacc", lv))
             writes.append(FieldRef("gacc", lv))
-            br += self.itemsize * buf.coal_q.size
+            br += self.itemsize * buf.coal_dst.size
             bw += self.itemsize * buf.ghost_acc.size  # reset
         def body() -> None:
             self._stream_bulk(lv)
@@ -463,7 +560,7 @@ class Engine:
         if m == 0:
             return
         self.rt.launch(
-            "E", lv, n_cells=int(np.unique(buf.exp_cell).size),
+            "E", lv, n_cells=buf.exp_cells,
             bytes_read=self.itemsize * m, bytes_written=self.itemsize * m,
             reads=(FieldRef("fghost", lv) if exp_from_ghost else FieldRef("fstar", lv - 1),),
             writes=(FieldRef("f", lv),),
@@ -472,11 +569,11 @@ class Engine:
     def op_coalesce(self, lv: int) -> None:
         """Separate Coalescence kernel: averaged ghost reads plus the reset."""
         buf = self.levels[lv]
-        m = buf.coal_q.size
+        m = buf.coal_dst.size
         if m == 0:
             return
         self.rt.launch(
-            "O", lv, n_cells=int(np.unique(buf.coal_cell).size),
+            "O", lv, n_cells=buf.coal_cells,
             bytes_read=self.itemsize * m,
             bytes_written=self.itemsize * m + self.itemsize * buf.ghost_acc.size,
             reads=(FieldRef("gacc", lv),),
@@ -496,8 +593,7 @@ class Engine:
         writes = [FieldRef("f", lv)]
         atomic = 0
         if lv > 0:
-            parent = self.levels[lv - 1]
-            m = parent.acc_fine_rows.size
+            m = self.levels[lv - 1].acc_m
             if m:
                 atomic = Q * self.itemsize * m
                 writes.append(FieldRef("gacc", lv - 1))

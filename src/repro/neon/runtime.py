@@ -106,6 +106,9 @@ class Runtime:
         #: ever running kernel bodies — the declaration stream the static
         #: analyzer (:mod:`repro.analysis.static`) reasons about.
         self.plan_only = False
+        #: Bodies of the launches :meth:`capture_plan` is recording, one
+        #: per record, or ``None`` outside a capture.
+        self._plan_bodies: list[KernelBody | None] | None = None
 
     def launch(self, name: str, level: int, *, n_cells: int,
                bytes_read: int, bytes_written: int,
@@ -135,8 +138,11 @@ class Runtime:
             # Declaration-only capture: the record is the whole launch.
             # Bodies, tracers and fault hooks are all bypassed — nothing
             # observes or mutates simulation state, which is the
-            # property the static analyzer's "no execution" contract needs.
+            # property the static analyzer's "no execution" contract
+            # needs.  A capture keeps the unexecuted body for replay.
             self.records.append(rec)
+            if self._plan_bodies is not None:
+                self._plan_bodies.append(fn)
             return
         if self.faults is not None:
             # The injector sees every launch and may wrap the body (to
@@ -246,25 +252,30 @@ class Runtime:
         """Leave plan-only mode; subsequent launches execute normally."""
         self.plan_only = False
 
-    def capture_plan(self, drive: Callable[[], None]) -> list[KernelRecord]:
-        """Capture the declaration stream ``drive`` would launch.
+    def capture_plan(self, drive: Callable[[], None]
+                     ) -> tuple[list[KernelRecord], list[KernelBody | None]]:
+        """Capture the launches ``drive`` would make, without running them.
 
         Runs ``drive`` under plan-only mode and returns the records it
-        appended, leaving the runtime's trace exactly as it was: the
-        captured declarations are removed again, so profiling and
-        per-step accounting never see the phantom launches.  This is the
-        capture primitive behind compiled step plans
-        (:mod:`repro.backend.compiler`).
+        appended together with each launch's unexecuted body, leaving
+        the runtime's trace exactly as it was: the captured declarations
+        are removed again, so profiling and per-step accounting never
+        see the phantom launches.  This is the capture primitive behind
+        compiled step plans (:mod:`repro.backend.compiler`), which
+        replay exactly these bodies.
         """
         base = len(self.records)
+        bodies: list[KernelBody | None] = []
+        self._plan_bodies = bodies
         self.plan_start()
         try:
             drive()
         finally:
             self.plan_stop()
+            self._plan_bodies = None
         captured = self.records[base:]
         del self.records[base:]
-        return captured
+        return captured, bodies
 
     # -- access capture ------------------------------------------------------
     def capture_start(self) -> None:

@@ -71,6 +71,31 @@ class TestBitIdentity:
         assert si.runtime.records == sc.runtime.records
         assert si.runtime.markers == sc.runtime.markers
 
+    def test_3d_fixture_reaches_blocked_gather_and_fine_ghosts(self):
+        # The 3D parity cases must exercise a stream gather split over
+        # several q-blocks and a level with fine-ghost rows past its
+        # owned cells, so a geometry change cannot skip either path.
+        levels = build(cavity("3d"), ALL_CONFIGS[0], "interpreted").engine.levels
+        assert any(len(b.pull_blocks) > 1 for b in levels)
+        assert any(b.n_used > b.n_owned for b in levels)
+
+    def test_replay_runs_the_engine_bodies(self, monkeypatch):
+        # A plan holds no kernel code of its own: replay calls the
+        # engine's bodies, captured from its op_* launches.
+        from repro.core.engine import Engine
+        calls = []
+        original = Engine._stream_bulk
+
+        def counting(self, lv):
+            calls.append(lv)
+            original(self, lv)
+
+        monkeypatch.setattr(Engine, "_stream_bulk", counting)
+        sim = build(cavity(), ABLATION_CONFIGS[-1], "compiled")
+        sim.run(3)
+        assert sim.backend.stats["plan_fallback_steps"] == 0
+        assert len(calls) > 0
+
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.name)
     def test_aa_backend_matches_on_declared_fields(self, cfg):
         # compiled-aa drops lint-proven double buffers, so only the

@@ -228,3 +228,44 @@ class TestBoundaryPhysics:
         fine = eng.levels[1]
         got = fine.f[fine.out_q, fine.out_cell]
         assert np.allclose(got, eng.lat.w[fine.out_q])
+
+
+class TestResolvedMaps:
+    """The q-blocked bodies against per-q loops over the row-form maps."""
+
+    @pytest.fixture
+    def engine3d(self):
+        # 10^3 D3Q19 with a 2-level wall refinement: the fine level's
+        # gather and the coarse accumulate both split into several
+        # q-blocks, the last one partial.
+        from repro.bench.workloads import lid_cavity
+        from repro.core.lattice import get_lattice
+        wl = lid_cavity(base=(10, 10, 10), num_levels=2, lattice="D3Q19")
+        eng = Engine(build_multigrid(wl.spec, get_lattice("D3Q19")), "bgk")
+        rng = np.random.default_rng(3)
+        for buf in eng.levels:
+            buf.fstar[:] = rng.random(buf.fstar.shape)
+        return eng
+
+    def test_stream_gather_matches_per_q_loop(self, engine3d):
+        for lv, buf in enumerate(engine3d.levels):
+            n, rows = buf.n_owned, buf.pull_rows
+            ref = np.stack([buf.fstar[q, rows[q]] for q in range(engine3d.lat.q)])
+            engine3d._stream_bulk(lv)
+            patched = np.zeros(buf.f.size, dtype=bool)
+            for dst in (buf.bb_dst, buf.mov_dst, buf.out_dst, buf.sl_dst):
+                patched[dst] = True
+            bulk = ~patched.reshape(buf.f.shape)[:, :n]
+            assert np.array_equal(buf.f[:, :n][bulk], ref[bulk])
+
+    def test_accumulate_matches_per_q_bincount(self, engine3d):
+        coarse, fine = engine3d.levels
+        assert coarse.acc_k > 1 and engine3d.lat.q % coarse.acc_k
+        ng = coarse.ghost_acc.shape[1]
+        ref = coarse.ghost_acc.copy()
+        for q in range(engine3d.lat.q):
+            ref[q] += np.bincount(coarse.acc_ghost_rows,
+                                  weights=fine.fstar[q, coarse.acc_fine_rows],
+                                  minlength=ng)
+        engine3d._accumulate_values(0, mode="scatter")
+        assert np.array_equal(coarse.ghost_acc, ref)
