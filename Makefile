@@ -67,8 +67,9 @@ analysis:
 	$(PYTHON) -m repro analysis --all-configs
 
 # Declaration-only gate: symbolic access sets, fusion-legality proofs,
-# lint pass, step-plan certificates, static ⊇ dynamic cross-check and
-# the seeded-illegal negative control.
+# lint pass, step-plan certificates, the composition check (each
+# executed launch ran exactly the primitives its record names) and the
+# seeded-illegal negative control.
 static-check:
 	$(PYTHON) -m repro analysis --static --all-configs --cert-dir certificates
 

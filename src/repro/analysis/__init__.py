@@ -6,24 +6,25 @@ sets each kernel *declares*.  A declaration that drifts from the kernel
 body's actual buffer accesses silently corrupts the schedule, which on a
 real GPU is a data race.  This subsystem closes that loop twice over:
 
-dynamically (PR 1):
+dynamically:
 
-* :mod:`repro.analysis.capture` — shadow-records the *actual* per-field,
-  per-row-range reads/writes (including atomic Accumulate scatters) each
-  kernel body performs while it executes;
+* :mod:`repro.analysis.capture` — records which primitives (Collision,
+  Accumulate, Streaming, Explosion, Coalescence, with their modes) each
+  kernel body actually runs, expanded into per-field, per-row-range
+  accesses by the one access model;
 * :mod:`repro.analysis.verify` — diffs captured accesses against each
   :class:`~repro.neon.runtime.KernelRecord`'s declared reads/writes and
   byte counts;
-* :mod:`repro.analysis.races` — flags same-wave kernels whose observed
-  accesses conflict at row-interval granularity (atomic-atomic pairs are
-  commutative and exempt);
+* :mod:`repro.analysis.races` — flags same-wave kernels whose captured
+  accesses conflict (atomic-atomic pairs are commutative and exempt);
 
 and statically, from declarations plus grid geometry alone — nothing
 executes:
 
-* :mod:`repro.analysis.static` — symbolic per-kernel access sets,
-  fusion-legality contraction proofs with structured counterexamples,
-  and the static ⊇ dynamic containment cross-check;
+* :mod:`repro.analysis.static` — :class:`AccessModel`, the one place
+  each primitive's access set is written, fusion-legality contraction
+  proofs with structured counterexamples, and the composition check
+  (the primitives a body ran equal its record's decomposition);
 * :mod:`repro.analysis.lint` — dead stores, redundant loads, arena
   lifetime/aliasing violations and AA-pattern double-buffer
   opportunities priced by the :mod:`repro.gpu` cost model;
@@ -36,16 +37,16 @@ executes:
   the declaration-only gate.
 """
 
-from .capture import Access, AccessTracer
+from .capture import Access, AccessTracer, Primitive
 from .certificate import (CERTIFICATE_VERSION, build_certificate,
                           load_certificate, stream_digest,
                           validate_certificate, write_certificate)
 from .cli import ALL_CONFIGS, lint_config, main, small_workloads, static_check
 from .lint import LintFinding, LintReport, lint_stream
 from .races import Race, detect_races
-from .static import (AccessModel, Counterexample, LegalityProof, StaticAccess,
-                     plan_stream, prove_fusion_legality, seeded_illegal_proof,
-                     superset_findings, verify_static)
+from .static import (AccessModel, Counterexample, LegalityProof,
+                     composition_findings, plan_stream, prove_fusion_legality,
+                     seeded_illegal_proof, verify_static)
 from .verify import Finding, verify_record, verify_trace
 
 __all__ = [
@@ -59,9 +60,10 @@ __all__ = [
     "LegalityProof",
     "LintFinding",
     "LintReport",
+    "Primitive",
     "Race",
-    "StaticAccess",
     "build_certificate",
+    "composition_findings",
     "detect_races",
     "lint_config",
     "lint_stream",
@@ -73,7 +75,6 @@ __all__ = [
     "small_workloads",
     "static_check",
     "stream_digest",
-    "superset_findings",
     "validate_certificate",
     "verify_record",
     "verify_static",

@@ -25,7 +25,8 @@ from typing import Any, Mapping, Sequence
 from ..neon.graph import build_dependency_graph, graph_stats, schedule_waves
 from ..neon.runtime import FieldRef, KernelRecord
 from .lint import LintReport
-from .static import AccessModel, LegalityProof, StaticAccess
+from .capture import Access
+from .static import AccessModel, LegalityProof
 
 __all__ = ["CERTIFICATE_VERSION", "stream_digest", "build_certificate",
            "validate_certificate", "write_certificate", "load_certificate"]
@@ -56,7 +57,7 @@ def _ref_json(ref: FieldRef) -> str:
     return f"{ref.name}@{ref.level}"
 
 
-def _access_json(a: StaticAccess) -> dict[str, Any]:
+def _access_json(a: Access) -> dict[str, Any]:
     out: dict[str, Any] = {
         "field": _ref_json(a.field) if a.field is not None else None,
         "kind": a.kind, "rows": [a.lo, a.hi], "nbytes": a.nbytes,

@@ -3,7 +3,7 @@
 For each requested :class:`~repro.core.fusion.FusionConfig` and workload
 the linter runs a short functional simulation under access capture, then
 
-1. diffs every kernel's observed accesses against its declarations
+1. diffs every kernel's captured accesses against its declarations
    (:mod:`repro.analysis.verify`),
 2. schedules the declared dependency graph into concurrency waves and
    race-checks every wave at row-interval granularity
@@ -98,8 +98,9 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
        (the declarations the analyzer saw are the declarations that run);
     2. symbolic access sets reproduce every declaration exactly
        (:func:`~repro.analysis.static.verify_static`);
-    3. static access sets ⊇ dynamically captured ones (soundness of the
-       static model);
+    3. the composition check: every executed launch ran exactly the
+       primitives its record decomposes into
+       (:func:`~repro.analysis.static.composition_findings`);
     4. the fusion is proved a legal contraction of the modified baseline
        (:func:`~repro.analysis.static.prove_fusion_legality`);
     5. the lint pass reports no ``error``-severity findings;
@@ -111,8 +112,8 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     from .certificate import build_certificate, validate_certificate, \
         write_certificate
     from .lint import lint_stream
-    from .static import plan_stream, prove_fusion_legality, \
-        superset_findings, verify_static
+    from .static import composition_findings, plan_stream, \
+        prove_fusion_legality, verify_static
 
     wl_kwargs = small_workloads()[workload]
     records, model = plan_stream(config, wl_kwargs, steps=steps)
@@ -120,15 +121,15 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
     wl = lid_cavity(**wl_kwargs)
     rt = Runtime()
     rt.capture_start()
+    tracer = rt.tracer
     sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=config),
                                  runtime=rt)
     sim.run(steps)
-    captured = rt.capture_stop()
+    rt.capture_stop()
 
     stream_mismatch = list(rt.records) != records
-    static_map = model.access_map(records)
     findings = verify_static(records, model)
-    superset = superset_findings(records, captured, static_map)
+    composition = composition_findings(records, tracer.executed, model)
     proof = prove_fusion_legality(config, wl_kwargs, steps=steps)
     lint = lint_stream(records, model)
     cert = build_certificate(config.name, workload, records, model, proof,
@@ -147,7 +148,7 @@ def static_check(config: FusionConfig, workload: str = "cavity2d-2lvl",
         "kernels": len(records),
         "stream_mismatch": stream_mismatch,
         "findings": [str(f) for f in findings],
-        "superset": superset,
+        "composition": composition,
         "verdict": proof.verdict,
         "pairs_checked": proof.pairs_checked,
         "counterexamples": [str(c) for c in proof.counterexamples],
@@ -174,7 +175,7 @@ def _static_negative_control(workload: str, steps: int) -> dict[str, Any]:
 
 def _static_problems(report: dict[str, Any]) -> int:
     return ((1 if report["stream_mismatch"] else 0)
-            + len(report["findings"]) + len(report["superset"])
+            + len(report["findings"]) + len(report["composition"])
             + (0 if report["verdict"] in ("legal", "baseline") else 1)
             + len(report["lint_errors"]) + len(report["certificate_problems"]))
 
@@ -196,7 +197,7 @@ def _run_static(configs: Sequence[FusionConfig], workloads: Sequence[str],
                   f"verdict={rep['verdict']:8s} "
                   f"pairs={rep['pairs_checked']:4d} "
                   f"aa-saves={rep['aa_bytes_saved']} B", file=out)
-            for msg in (rep["findings"] + rep["superset"]
+            for msg in (rep["findings"] + rep["composition"]
                         + rep["lint_errors"] + rep["certificate_problems"]):
                 print(f"    {msg}", file=out)
             if rep["stream_mismatch"]:
@@ -269,8 +270,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--static", action="store_true",
                         help="declaration-only mode: symbolic access sets, "
                              "fusion-legality proofs, lint pass, step-plan "
-                             "certificates and the static ⊇ dynamic "
-                             "cross-check (plus a seeded-illegal control)")
+                             "certificates and the composition check "
+                             "(plus a seeded-illegal control)")
     parser.add_argument("--cert-dir", default=None, metavar="DIR",
                         help="with --static: write step-plan certificates "
                              "to DIR (one JSON per config x workload)")

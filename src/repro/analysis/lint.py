@@ -33,8 +33,8 @@ from ..gpu.device import DeviceSpec, get_device
 from ..gpu.memory import BufferLifetime, arena_assign, arena_check, arena_peak_bytes
 from ..neon.graph import _access_overlap
 from ..neon.runtime import FieldRef, KernelRecord
-from .capture import ATOMIC, META, READ, WRITE
-from .static import AccessModel, StaticAccess
+from .capture import ATOMIC, META, READ, WRITE, Access
+from .static import AccessModel
 
 __all__ = ["LintFinding", "LintReport", "lint_stream", "build_lifetimes",
            "stream_lifetimes"]
@@ -92,10 +92,10 @@ def _label(records: Sequence[KernelRecord], i: int) -> str:
     return f"{records[i].name}{records[i].level}"
 
 
-def _flat(static_map: Mapping[int, Sequence[StaticAccess]],
-          ) -> list[tuple[int, StaticAccess]]:
+def _flat(static_map: Mapping[int, Sequence[Access]],
+          ) -> list[tuple[int, Access]]:
     """(record index, access) pairs in stream order, meta dropped."""
-    out: list[tuple[int, StaticAccess]] = []
+    out: list[tuple[int, Access]] = []
     for i in sorted(static_map):
         for a in static_map[i]:
             if a.kind != META and a.field is not None and a.hi > a.lo:
@@ -106,7 +106,7 @@ def _flat(static_map: Mapping[int, Sequence[StaticAccess]],
 # -- individual checks ---------------------------------------------------------
 
 def _dead_stores(records: Sequence[KernelRecord],
-                 flat: list[tuple[int, StaticAccess]],
+                 flat: list[tuple[int, Access]],
                  device: DeviceSpec) -> list[LintFinding]:
     """Writes fully shadowed by a later write before any overlapping read.
 
@@ -115,7 +115,7 @@ def _dead_stores(records: Sequence[KernelRecord],
     output, alive beyond the analyzed window (the next step reads it).
     """
     out: list[LintFinding] = []
-    per_field: dict[FieldRef, list[tuple[int, StaticAccess]]] = {}
+    per_field: dict[FieldRef, list[tuple[int, Access]]] = {}
     for i, a in flat:
         assert a.field is not None
         per_field.setdefault(a.field, []).append((i, a))
@@ -123,7 +123,7 @@ def _dead_stores(records: Sequence[KernelRecord],
         for k, (i, a) in enumerate(accs):
             if a.kind != WRITE:
                 continue
-            shadowed: tuple[int, StaticAccess] | None = None
+            shadowed: tuple[int, Access] | None = None
             for j, b in accs[k + 1:]:
                 if not _access_overlap(a, b):
                     continue
@@ -131,7 +131,7 @@ def _dead_stores(records: Sequence[KernelRecord],
                     break
                 # a scattered (exact-entry) write has a wide envelope but
                 # only touches isolated entries — it never fully covers
-                if b.kind == WRITE and b.entries is None and b.covers(a.lo, a.hi):
+                if b.kind == WRITE and b.entries is None and b.lo <= a.lo and a.hi <= b.hi:
                     shadowed = (j, b)
                     break
             if shadowed is not None:
@@ -147,7 +147,7 @@ def _dead_stores(records: Sequence[KernelRecord],
 
 
 def _redundant_loads(records: Sequence[KernelRecord],
-                     flat: list[tuple[int, StaticAccess]],
+                     flat: list[tuple[int, Access]],
                      device: DeviceSpec) -> list[LintFinding]:
     """Two overlapping reads of one field with no intervening write.
 
@@ -156,7 +156,7 @@ def _redundant_loads(records: Sequence[KernelRecord],
     finding per (field, later record), anchored at the re-reader.
     """
     out: list[LintFinding] = []
-    per_field: dict[FieldRef, list[tuple[int, StaticAccess]]] = {}
+    per_field: dict[FieldRef, list[tuple[int, Access]]] = {}
     for i, a in flat:
         assert a.field is not None
         per_field.setdefault(a.field, []).append((i, a))
@@ -187,7 +187,7 @@ def _redundant_loads(records: Sequence[KernelRecord],
 
 
 def _aa_double_buffer(records: Sequence[KernelRecord],
-                      flat: list[tuple[int, StaticAccess]],
+                      flat: list[tuple[int, Access]],
                       model: AccessModel,
                       device: DeviceSpec) -> list[LintFinding]:
     """Levels whose f/fstar ping-pong AA-pattern streaming would collapse.
@@ -222,7 +222,7 @@ def _aa_double_buffer(records: Sequence[KernelRecord],
 
 
 def _droppable_buffers(model: AccessModel,
-                       flat: list[tuple[int, StaticAccess]],
+                       flat: list[tuple[int, Access]],
                        ) -> list[LintFinding]:
     """Allocated buffers no kernel of the stream ever touches."""
     touched = {a.field for _, a in flat}
@@ -244,7 +244,7 @@ def _droppable_buffers(model: AccessModel,
 # -- arena lifetime model ------------------------------------------------------
 
 def build_lifetimes(model: AccessModel,
-                    flat: list[tuple[int, StaticAccess]],
+                    flat: list[tuple[int, Access]],
                     ) -> list[BufferLifetime]:
     """Buffer live ranges over the stream, from symbolic access sets.
 

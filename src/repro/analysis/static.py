@@ -1,9 +1,6 @@
 """Declaration-only (static) kernel-stream analysis.
 
-PR 1's verifier needs the kernel bodies to *run* (shadow-execution
-capture); the compiled-backend roadmap needs the same guarantees proved
-**before** anything executes.  This module reasons about a kernel stream
-from two inputs only:
+This module reasons about a kernel stream from two inputs only:
 
 * the :class:`~repro.neon.runtime.KernelRecord` declarations (fields,
   byte totals, atomics) a plan-only run records
@@ -11,27 +8,30 @@ from two inputs only:
 * the grid geometry already compiled into the engine's per-level index
   arrays (row counts, scatter/gather maps) — data, not execution.
 
-From these it infers **symbolic access sets** — field x level x
-half-open row interval x read/write/atomic, with exact entry sets for
-the small scatter/gather patches — and proves:
+:class:`AccessModel` is the one place a kernel's access set is written
+down: each record decomposes into primitives (``C``, ``A``, ``S``,
+``E``, ``O`` at a level), and each primitive expands into symbolic
+accesses — field x level x half-open row interval x read/write/atomic,
+with exact entry sets for the small scatter/gather patches.  From these
+the module proves:
 
 * **declaration consistency**: the symbolic sets reproduce each record's
-  declared field sets and byte totals exactly (the dynamic verifier's
-  checks, statically);
+  declared field sets and byte totals exactly;
 * **fusion legality**: a fused stream is a valid *contraction* of the
   modified-baseline stream — every conflicting access pair of the
   baseline keeps its happens-before order, either inside one fused
   kernel (body order) or across kernels (a path in the fused declared
   DAG).  Violations produce a structured :class:`Counterexample` naming
   the conflicting pair;
-* **dynamic containment**: statically inferred access sets are a
-  superset of anything shadow-execution capture observes (the
-  cross-check mode of ``python -m repro analysis --static``).
+* **composition**: the primitives each executed launch actually ran
+  (noted by the engine under access capture) are exactly the
+  decomposition of its record (the cross-check mode of
+  ``python -m repro analysis --static``).
 
 The symbolic access sets also feed the lint pass
 (:mod:`repro.analysis.lint`) and the step-plan certificates
-(:mod:`repro.analysis.certificate`) the future compiled backend consumes
-as its admission contract.
+(:mod:`repro.analysis.certificate`) the compiled backends consume as
+their admission contract.
 """
 
 from __future__ import annotations
@@ -44,51 +44,21 @@ import numpy as np
 from ..core.fusion import MODIFIED_BASELINE, FusionConfig
 from ..neon.graph import build_dependency_graph, iter_conflict_pairs
 from ..neon.runtime import FieldRef, KernelRecord, Runtime
-from .capture import ATOMIC, META, READ, WRITE
+from .capture import ATOMIC, META, READ, WRITE, Access, Primitive
 from .verify import Finding, verify_record
 
 if TYPE_CHECKING:
     from ..core.engine import Engine, LevelBuffers
 
 __all__ = [
-    "StaticAccess", "AccessModel", "plan_stream",
-    "verify_static", "superset_findings",
+    "AccessModel", "plan_stream", "verify_static", "composition_findings",
     "Counterexample", "LegalityProof", "check_contraction",
     "prove_fusion_legality", "swap_declaration", "seeded_illegal_proof",
 ]
 
 
-@dataclass(frozen=True)
-class StaticAccess:
-    """One symbolic access: a field, a row interval, an optional exact set.
-
-    Attribute-compatible with :class:`~repro.analysis.capture.Access`
-    (``field``/``kind``/``lo``/``hi``/``nbytes``) so the dynamic
-    verifier and the graph conflict tests consume either.  ``entries``
-    (when not ``None``) is the exact set of touched entry ids
-    ``q * n_rows + row`` — the bounding interval is then only an
-    envelope, and two exact accesses conflict only if the sets
-    intersect (see :func:`repro.neon.graph._access_overlap`).
-    """
-
-    field: FieldRef | None
-    kind: str
-    lo: int
-    hi: int
-    nbytes: int
-    entries: frozenset[int] | None = None
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """True when ``[lo, hi)`` lies inside this access's interval."""
-        return self.lo <= lo and hi <= self.hi
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        where = f"{self.field}[{self.lo}:{self.hi}]" if self.field else "meta"
-        exact = f" ({len(self.entries)} exact)" if self.entries is not None else ""
-        return f"{self.kind} {where}{exact} ({self.nbytes} B)"
-
-
 def _span(rows: np.ndarray) -> tuple[int, int]:
+    """Half-open interval bounding the rows an index array touches."""
     if rows.size == 0:
         return (0, 0)
     return (int(rows.min()), int(rows.max()) + 1)
@@ -97,28 +67,22 @@ def _span(rows: np.ndarray) -> tuple[int, int]:
 class AccessModel:
     """Symbolic per-kernel access sets from engine geometry alone.
 
-    Mirrors, index array by index array, what the shadow tracer in
-    :mod:`repro.core.engine` records when the body actually runs — but
-    reads only the engine's pre-resolved index maps, never a population
-    value.  The ``--static`` cross-check gate asserts the mirror stays a
-    superset of dynamic capture on every configuration.
+    Owns the only primitive -> access builders (:meth:`primitive_accesses`)
+    and the only record -> primitive decomposition (:meth:`decompose`).
+    It reads the engine's pre-resolved index maps, never a population
+    value, so the same expansion serves plan-only streams and the
+    primitives an executing body reports under access capture.
     """
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.q: int = engine.lat.q
         self.itemsize: int = engine.itemsize
+        self._cache: dict[Primitive, tuple[Access, ...]] = {}
 
     # -- geometry helpers ----------------------------------------------------
     def _buf(self, lv: int) -> "LevelBuffers":
         return self.engine.levels[lv]
-
-    def has_accumulate(self, lv: int) -> bool:
-        """True when level ``lv`` scatters into a parent ghost layer."""
-        return lv > 0 and self._buf(lv - 1).acc_m > 0
-
-    def has_explosion(self, lv: int) -> bool:
-        return self._buf(lv).exp_q.size > 0
 
     def field_nbytes(self, ref: FieldRef) -> int:
         """Allocated bytes of the buffer backing ``ref``.
@@ -148,15 +112,21 @@ class AccessModel:
                 out.append(FieldRef("fghost", lv))
         return out
 
-    # -- per-kernel-family access builders -----------------------------------
-    def _collide(self, lv: int) -> list[StaticAccess]:
-        buf = self._buf(lv)
+    # -- per-primitive access builders ---------------------------------------
+    def _collide(self, p: Primitive) -> list[Access]:
+        buf, lv = self._buf(p.level), p.level
         nb = self.q * self.itemsize * buf.n_owned
-        return [StaticAccess(FieldRef("f", lv), READ, 0, buf.n_owned, nb),
-                StaticAccess(FieldRef("fstar", lv), WRITE, 0, buf.n_owned, nb)]
+        return [Access(FieldRef("f", lv), READ, 0, buf.n_owned, nb),
+                Access(FieldRef("fstar", lv), WRITE, 0, buf.n_owned, nb)]
 
-    def _accumulate(self, lv: int, mode: str) -> list[StaticAccess]:
-        """Accumulate of fine level ``lv`` into its parent's ghosts."""
+    def _accumulate(self, p: Primitive) -> list[Access]:
+        """Accumulate of fine level ``p.level`` into its parent's ghosts.
+
+        ``"fused"`` reads its sources from registers (0 bytes),
+        ``"scatter"`` is the standalone fine-initiated atomic scatter,
+        ``"gather"`` the original baseline's coarse-initiated gather.
+        """
+        lv, mode = p.level, p.mode
         parent = self._buf(lv - 1)
         m = parent.acc_m
         if m == 0:
@@ -165,21 +135,28 @@ class AccessModel:
         ng = parent.ghost_acc.shape[1]
         flo, fhi = _span(parent.acc_fine_rows)
         glo, ghi = _span(parent.acc_ghost_rows)
-        out = [StaticAccess(FieldRef("fstar", lv), READ, flo, fhi,
-                            0 if mode == "fused" else Q * i * m)]
+        gacc = FieldRef("gacc", lv - 1)
+        out = [Access(FieldRef("fstar", lv), READ, flo, fhi,
+                      0 if mode == "fused" else Q * i * m)]
         if mode == "gather":
-            out.append(StaticAccess(FieldRef("gacc", lv - 1), READ, 0, ng, Q * i * ng))
-            out.append(StaticAccess(FieldRef("gacc", lv - 1), WRITE, 0, ng, Q * i * ng))
+            out.append(Access(gacc, READ, 0, ng, Q * i * ng))
+            out.append(Access(gacc, WRITE, 0, ng, Q * i * ng))
         else:
             if mode == "scatter":
-                out.append(StaticAccess(FieldRef("gacc", lv - 1), READ, 0, ng,
-                                        Q * i * ng))
-            out.append(StaticAccess(FieldRef("gacc", lv - 1), ATOMIC, glo, ghi,
-                                    Q * i * m))
+                out.append(Access(gacc, READ, 0, ng, Q * i * ng))
+            out.append(Access(gacc, ATOMIC, glo, ghi, Q * i * m))
         return out
 
-    def _stream_reads(self, lv: int) -> list[StaticAccess]:
-        """The bulk ``fstar`` gather, split owned/fine-ghost like the tracer."""
+    def _stream(self, p: Primitive) -> list[Access]:
+        """Bulk gather + boundary patches, with the fine-ghost rows split off.
+
+        Rows ``>= n_owned`` are the original baseline's fine-ghost layers,
+        named as the ``fghost`` field.  The read bytes are apportioned by
+        value count; the boundary-patch sources extend the intervals but
+        carry no bytes — each destination entry is read exactly once,
+        from either the bulk pull or its patch.
+        """
+        lv = p.level
         buf = self._buf(lv)
         Q, i, n = self.q, self.itemsize, buf.n_owned
         flat = buf.pull_rows.ravel()
@@ -189,147 +166,134 @@ class AccessModel:
         ghost = all_rows >= n
         n_ghost_vals = int((flat >= n).sum())
         per_val = (Q * i * n) / nvals if nvals else 0.0
-        out: list[StaticAccess] = []
+        out: list[Access] = []
         owned_rows, ghost_rows = all_rows[~ghost], all_rows[ghost]
         if owned_rows.size:
             lo, hi = _span(owned_rows)
-            out.append(StaticAccess(FieldRef("fstar", lv), READ, lo, hi,
-                                    round(per_val * (nvals - n_ghost_vals))))
+            out.append(Access(FieldRef("fstar", lv), READ, lo, hi,
+                              round(per_val * (nvals - n_ghost_vals))))
         if ghost_rows.size:
             lo, hi = _span(ghost_rows)
-            out.append(StaticAccess(FieldRef("fghost", lv), READ, lo, hi,
-                                    round(per_val * n_ghost_vals)))
+            out.append(Access(FieldRef("fghost", lv), READ, lo, hi,
+                              round(per_val * n_ghost_vals)))
+        out.append(Access(FieldRef("f", lv), WRITE, 0, n, Q * i * n))
+        if buf.meta_bytes:
+            out.append(Access(None, META, 0, 0, buf.meta_bytes))
         return out
 
-    def _explode(self, lv: int, from_ghost: bool, subsumed: bool) -> list[StaticAccess]:
+    def _explode(self, p: Primitive) -> list[Access]:
+        lv = p.level
         buf = self._buf(lv)
+        if p.mode == "copy":  # original baseline: coarse fstar -> fine ghosts
+            nb = self.q * self.itemsize * buf.fg_rows.size
+            rlo, rhi = _span(buf.fg_coarse_rows)
+            wlo, whi = _span(buf.fg_rows)
+            return [Access(FieldRef("fstar", lv - 1), READ, rlo, rhi, nb),
+                    Access(FieldRef("fghost", lv), WRITE, wlo, whi, nb)]
         m = buf.exp_q.size
-        if m == 0:
-            return []
         i = self.itemsize
-        out: list[StaticAccess] = []
-        if from_ghost:
+        if p.mode == "ghost":
             lo, hi = _span(buf.exp_ghost_rows)
-            out.append(StaticAccess(FieldRef("fghost", lv), READ, lo, hi, i * m))
+            src = Access(FieldRef("fghost", lv), READ, lo, hi, i * m)
         else:
             lo, hi = _span(buf.exp_rows)
-            out.append(StaticAccess(FieldRef("fstar", lv - 1), READ, lo, hi, i * m))
+            src = Access(FieldRef("fstar", lv - 1), READ, lo, hi, i * m)
         lo, hi = _span(buf.exp_cell)
-        out.append(StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
-                                0 if subsumed else i * m,
-                                entries=frozenset(buf.exp_dst.tolist())))
-        return out
+        # fused into streaming, the write lands on entries the bulk pull
+        # already paid for — no extra traffic
+        return [src, Access(FieldRef("f", lv), WRITE, lo, hi,
+                            0 if p.subsumed else i * m,
+                            entries=frozenset(buf.exp_dst.tolist()))]
 
-    def _coalesce(self, lv: int, subsumed: bool) -> list[StaticAccess]:
+    def _coalesce(self, p: Primitive) -> list[Access]:
+        lv = p.level
         buf = self._buf(lv)
         i = self.itemsize
         ng = buf.ghost_acc.shape[1]
-        out: list[StaticAccess] = []
+        out: list[Access] = []
         if buf.coal_dst.size:
             m = buf.coal_dst.size
             lo, hi = _span(buf.coal_src)
-            out.append(StaticAccess(FieldRef("gacc", lv), READ, lo, hi, i * m,
-                                    entries=frozenset(buf.coal_acc.tolist())))
+            out.append(Access(FieldRef("gacc", lv), READ, lo, hi, i * m,
+                              entries=frozenset(buf.coal_acc.tolist())))
             lo, hi = _span(buf.coal_cell)
-            out.append(StaticAccess(FieldRef("f", lv), WRITE, lo, hi,
-                                    0 if subsumed else i * m,
-                                    entries=frozenset(buf.coal_dst.tolist())))
+            out.append(Access(FieldRef("f", lv), WRITE, lo, hi,
+                              0 if p.subsumed else i * m,
+                              entries=frozenset(buf.coal_dst.tolist())))
         if ng:
-            out.append(StaticAccess(FieldRef("gacc", lv), WRITE, 0, ng,
-                                    i * int(buf.ghost_acc.size)))
+            out.append(Access(FieldRef("gacc", lv), WRITE, 0, ng,
+                              i * int(buf.ghost_acc.size)))
         return out
 
-    def _explosion_copy(self, lv: int) -> list[StaticAccess]:
-        buf = self._buf(lv)
-        nfg = buf.fg_rows.size
-        if nfg == 0:
-            return []
-        nb = self.q * self.itemsize * nfg
-        rlo, rhi = _span(buf.fg_coarse_rows)
-        wlo, whi = _span(buf.fg_rows)
-        return [StaticAccess(FieldRef("fstar", lv - 1), READ, rlo, rhi, nb),
-                StaticAccess(FieldRef("fghost", lv), WRITE, wlo, whi, nb)]
+    def primitive_accesses(self, p: Primitive) -> tuple[Access, ...]:
+        """Accesses of one primitive, in body order (cached per primitive)."""
+        out = self._cache.get(p)
+        if out is None:
+            build = {"C": self._collide, "A": self._accumulate, "S": self._stream,
+                     "E": self._explode, "O": self._coalesce}.get(p.name)
+            if build is None:
+                raise KeyError(f"no access model for primitive {p}")
+            out = self._cache[p] = tuple(build(p))
+        return out
 
-    # -- dispatch ------------------------------------------------------------
-    def accesses(self, record: KernelRecord) -> list[StaticAccess]:
-        """Symbolic access set of one launch, in body order."""
-        lv = record.level
-        buf = self._buf(lv)
-        name = record.name
-        Q, i, n = self.q, self.itemsize, buf.n_owned
-        if name == "C":
-            return self._collide(lv)
-        if name == "CA":
-            return self._collide(lv) + self._accumulate(lv, "fused")
+    # -- records -------------------------------------------------------------
+    def decompose(self, record: KernelRecord) -> list[Primitive]:
+        """Primitives a (possibly fused) kernel executes, in body order.
+
+        ``CASE`` is resolved against the geometry (its name does not
+        encode whether the level has an Accumulate or Explosion part);
+        the mode of a standalone ``A`` or ``E`` is read off its
+        declaration (atomic bytes; ``fghost`` reads or writes).
+        """
+        lv, name = record.level, record.name
+        if name in ("C", "CA", "S", "SE", "SO", "SEO", "O"):
+            # one primitive per letter: A fused into Collision, E and O
+            # subsumed by Streaming when they share its launch (fused
+            # Streaming+Explosion exists only in the optimized layout,
+            # where Explosion reads the coarse fstar directly)
+            return [Primitive(c, lv, "fused" if c == "A" else "",
+                              len(name) > 1 and c in "EO") for c in name]
         if name == "A":
-            mode = "scatter" if record.atomic_bytes else "gather"
-            return self._accumulate(lv, mode)
+            return [Primitive("A", lv, "scatter" if record.atomic_bytes
+                              else "gather")]
         if name == "E":
             if any(r.name == "fghost" for r in record.writes):
-                return self._explosion_copy(lv)
-            from_ghost = any(r.name == "fghost" for r in record.reads)
-            return self._explode(lv, from_ghost, subsumed=False)
-        if name == "O":
-            return self._coalesce(lv, subsumed=False)
-        if name in ("S", "SE", "SO", "SEO"):
-            out = self._stream_reads(lv)
-            out.append(StaticAccess(FieldRef("f", lv), WRITE, 0, n, Q * i * n))
-            if buf.meta_bytes:
-                out.append(StaticAccess(None, META, 0, 0, buf.meta_bytes))
-            if "E" in name:
-                # fused Streaming+Explosion only exists in the optimized
-                # layout, where Explosion reads the coarse fstar directly
-                out.extend(self._explode(lv, from_ghost=False, subsumed=True))
-            if "O" in name:
-                out.extend(self._coalesce(lv, subsumed=True))
-            return out
+                return [Primitive("E", lv, "copy")]
+            ghost = any(r.name == "fghost" for r in record.reads)
+            return [Primitive("E", lv, "ghost" if ghost else "")]
         if name == "CASE":
-            # the post-collision intermediate is register-resident: every
-            # fstar@lv access of the C/A/S parts disappears, exactly as
-            # the tracer's suppress() hides them dynamically
-            me = FieldRef("fstar", lv)
-            out = [a for a in self._collide(lv) if a.field != me]
-            if self.has_accumulate(lv):
-                out.extend(a for a in self._accumulate(lv, "fused")
-                           if a.field != me)
-            out.extend(a for a in self._stream_reads(lv) if a.field != me)
-            out.append(StaticAccess(FieldRef("f", lv), WRITE, 0, n, Q * i * n))
-            if buf.meta_bytes:
-                out.append(StaticAccess(None, META, 0, 0, buf.meta_bytes))
-            if lv > 0 and self.has_explosion(lv):
-                out.extend(self._explode(lv, from_ghost=False, subsumed=True))
-            return out
-        raise KeyError(f"no static access model for kernel {name!r}")
+            prims = [Primitive("C", lv)]
+            if lv > 0 and self._buf(lv - 1).acc_m:
+                prims.append(Primitive("A", lv, "fused"))
+            prims.append(Primitive("S", lv))
+            if lv > 0 and self._buf(lv).exp_q.size:
+                prims.append(Primitive("E", lv, subsumed=True))
+            return prims
+        raise KeyError(f"cannot decompose kernel {name!r}")
+
+    def expand(self, record: KernelRecord,
+               prims: Sequence[Primitive]) -> list[Access]:
+        """Accesses of ``prims`` run as the body of ``record``.
+
+        The one register-resident rule: inside ``CASE`` the
+        post-collision intermediate ``fstar`` of its own level lives in
+        registers, so every access to it is invisible to DRAM and to the
+        declarations.
+        """
+        out = [a for p in prims for a in self.primitive_accesses(p)]
+        if record.name == "CASE":
+            me = FieldRef("fstar", record.level)
+            out = [a for a in out if a.field != me]
+        return out
+
+    def accesses(self, record: KernelRecord) -> list[Access]:
+        """Symbolic access set of one launch, in body order."""
+        return self.expand(record, self.decompose(record))
 
     def access_map(self, records: Sequence[KernelRecord],
-                   ) -> dict[int, list[StaticAccess]]:
+                   ) -> dict[int, list[Access]]:
         """``record index -> symbolic accesses`` for a whole stream."""
         return {i: self.accesses(r) for i, r in enumerate(records)}
-
-    # -- primitive decomposition ---------------------------------------------
-    def decompose(self, record: KernelRecord) -> list[tuple[str, int]]:
-        """Primitive operations a (possibly fused) kernel executes, in order.
-
-        Primitives are the modified baseline's kernels — ``C``, ``A``,
-        ``S``, ``E``, ``O`` at a level.  ``CASE`` is resolved against
-        the geometry (its name does not encode whether the level has an
-        Accumulate or Explosion part).
-        """
-        lv = record.level
-        fixed = {"C": ("C",), "A": ("A",), "S": ("S",), "E": ("E",), "O": ("O",),
-                 "CA": ("C", "A"), "SE": ("S", "E"), "SO": ("S", "O"),
-                 "SEO": ("S", "E", "O")}
-        if record.name in fixed:
-            return [(p, lv) for p in fixed[record.name]]
-        if record.name == "CASE":
-            prims = ["C"]
-            if self.has_accumulate(lv):
-                prims.append("A")
-            prims.append("S")
-            if lv > 0 and self.has_explosion(lv):
-                prims.append("E")
-            return [(p, lv) for p in prims]
-        raise KeyError(f"cannot decompose kernel {record.name!r}")
 
 
 def plan_stream(fusion: FusionConfig, wl_kwargs: Mapping[str, Any],
@@ -380,40 +344,37 @@ def verify_static(records: Sequence[KernelRecord],
     return out
 
 
-# -- dynamic-containment cross-check -----------------------------------------
+# -- composition check ---------------------------------------------------------
 
-def superset_findings(records: Sequence[KernelRecord],
-                      captured: Mapping[int, Sequence[Any]],
-                      static_map: Mapping[int, Sequence[StaticAccess]],
-                      ) -> list[str]:
-    """Check static access sets contain everything dynamic capture saw.
+def composition_findings(records: Sequence[KernelRecord],
+                         executed: Mapping[int, Sequence[Primitive]],
+                         model: AccessModel) -> list[str]:
+    """Check every executed launch ran exactly what its record names.
 
-    For each observed access there must be static accesses of the same
-    field and kind whose merged intervals cover the observed interval.
-    Violations mean the static model under-approximates real behaviour —
-    any proof built on it would be unsound — so this gates in CI.
+    ``executed`` is :attr:`~repro.analysis.capture.AccessTracer.executed`
+    (record index -> primitives the body noted, in order).  Each must
+    equal ``model.decompose(records[i])``.  A body running a primitive
+    its declaration omits — say an undeclared cross-level read, which
+    would race under the wave scheduler — or skipping one it names
+    makes every proof over the declared stream unsound, so this gates
+    in CI.  Records with no executed entry are left to the verifier's
+    ``uncaptured`` check.
     """
     problems: list[str] = []
-    for idx, accesses in captured.items():
-        statics = static_map.get(idx, ())
-        label = f"#{idx} {records[idx].name}{records[idx].level}"
-        for a in accesses:
-            if a.kind == META or a.field is None or a.hi <= a.lo:
-                continue
-            spans = sorted((s.lo, s.hi) for s in statics
-                           if s.field == a.field and s.kind == a.kind
-                           and s.hi > s.lo)
-            # merge and check [a.lo, a.hi) is covered
-            pos = a.lo
-            for lo, hi in spans:
-                if lo > pos:
-                    break
-                pos = max(pos, hi)
-            if pos < a.hi or a.lo < (spans[0][0] if spans else a.hi):
-                problems.append(
-                    f"{label}: observed {a.kind} {a.field}[{a.lo}:{a.hi}) "
-                    f"not covered by static access set "
-                    f"{[(lo, hi) for lo, hi in spans]}")
+    for i, r in enumerate(records):
+        ran = executed.get(i)
+        if ran is None:
+            continue
+        try:
+            named = model.decompose(r)
+        except KeyError as exc:
+            problems.append(f"#{i} {r.name}{r.level}: {exc}")
+            continue
+        if list(ran) != named:
+            problems.append(
+                f"#{i} {r.name}{r.level}: body ran "
+                f"[{', '.join(map(str, ran))}] but the record names "
+                f"[{', '.join(map(str, named))}]")
     return problems
 
 
@@ -471,7 +432,7 @@ def _label(records: Sequence[KernelRecord], i: int) -> str:
     return f"{records[i].name}{records[i].level}"
 
 
-def _witness(base_map: Mapping[int, Sequence[StaticAccess]], i: int, j: int,
+def _witness(base_map: Mapping[int, Sequence[Access]], i: int, j: int,
              dep: str, ref: FieldRef) -> tuple[tuple[int, int], tuple[int, int]]:
     """Representative conflicting intervals of one baseline pair."""
     from ..neon.graph import _access_overlap
@@ -489,9 +450,9 @@ def _witness(base_map: Mapping[int, Sequence[StaticAccess]], i: int, j: int,
 
 
 def check_contraction(base_records: Sequence[KernelRecord],
-                      base_map: Mapping[int, Sequence[StaticAccess]],
+                      base_map: Mapping[int, Sequence[Access]],
                       fused_records: Sequence[KernelRecord],
-                      decompose: Callable[[KernelRecord], list[tuple[str, int]]],
+                      decompose: Callable[[KernelRecord], list[Primitive]],
                       max_counterexamples: int = 10,
                       ) -> tuple[int, int, list[Counterexample]]:
     """Core proof: the fused stream contracts the baseline stream.
@@ -518,7 +479,7 @@ def check_contraction(base_records: Sequence[KernelRecord],
                 fused_kernel_j="",
                 detail="baseline stream contains a fused kernel"))
             return 0, 0, cex
-        name, lv = prims[0]
+        name, lv = prims[0][:2]
         k = seen.get((name, lv), 0)
         seen[(name, lv)] = k + 1
         base_key.append((name, lv, k))
@@ -526,7 +487,7 @@ def check_contraction(base_records: Sequence[KernelRecord],
     seen.clear()
     fused_pos: dict[tuple[str, int, int], tuple[int, int]] = {}
     for fi, r in enumerate(fused_records):
-        for pos, (name, lv) in enumerate(decompose(r)):
+        for pos, (name, lv, *_) in enumerate(decompose(r)):
             k = seen.get((name, lv), 0)
             seen[(name, lv)] = k + 1
             fused_pos[(name, lv, k)] = (fi, pos)

@@ -1,4 +1,4 @@
-"""Declaration verifier: diff observed accesses against kernel declarations.
+"""Declaration verifier: diff captured accesses against kernel declarations.
 
 For every traced :class:`~repro.neon.runtime.KernelRecord` we compare
 

@@ -11,6 +11,10 @@ DRAM traffic the equivalent CUDA kernel would generate — this is what the
 cost model consumes — and hands the runtime its body.  These bodies are
 the only implementation of each kernel: interpreted runs execute them per
 launch, compiled step plans and mp workers replay the same closures.
+Each body is a sequence of primitive helpers (``_collide_into_fstar``,
+``_accumulate_values``, ...); under access capture every helper notes
+which primitive it ran, and the access model turns those notes into
+field accesses.
 
 Fused kernels execute the same arithmetic as their unfused sequence (the
 intermediate lives in the ``fstar`` buffer, playing the role of the GPU's
@@ -50,10 +54,11 @@ class LevelBuffers:
 
     The maps the kernel bodies replay are *flat*: indices into the
     ``reshape(-1)`` of a contiguous ``(Q, n)`` buffer, each replacing the
-    ``(q, row)`` map it is derived from.  The row forms the tracer, the
-    static access model and tests read are derived on demand by the
-    properties below.  Maps only the original baseline uses
-    (``exp_ghost_rows``, ``fg_rows``, ``fg_coarse_rows``) stay in row form.
+    ``(q, row)`` map it is derived from.  The row forms the access model
+    (:class:`~repro.analysis.static.AccessModel`) and tests read are
+    derived on demand by the properties below.  Maps only the original
+    baseline uses (``exp_ghost_rows``, ``fg_rows``, ``fg_coarse_rows``)
+    stay in row form.
     """
 
     f: np.ndarray                 # (Q, n_used) post-streaming populations
@@ -278,56 +283,12 @@ class Engine:
             buf.fstar[:, :n] = feq
             buf.ghost_acc[:] = 0.0
 
-    # -- access capture helpers ------------------------------------------------
-    def _tracer(self):
-        """The runtime's access tracer, if a traced launch is in flight."""
-        t = self.rt.tracer
-        return t if (t is not None and t.active) else None
-
-    @staticmethod
-    def _span(rows: np.ndarray) -> tuple[int, int]:
-        """Half-open interval bounding the rows an index array touches."""
-        if rows.size == 0:
-            return (0, 0)
-        return (int(rows.min()), int(rows.max()) + 1)
-
-    def _trace_fstar_read(self, t, lv: int, rows: np.ndarray,
-                          extra_rows: list[np.ndarray], nbytes_total: int) -> None:
-        """Record a gather from ``fstar``, splitting the fine-ghost region.
-
-        Rows ``>= n_owned`` are the original baseline's fine-ghost layers:
-        logically they are the ``fghost`` field, and the declarations name
-        them as such.  ``nbytes_total`` is apportioned by value count;
-        ``extra_rows`` (boundary-patch sources) extend the intervals but
-        carry no extra bytes — on the GPU each destination entry is read
-        exactly once, from either the bulk pull or its patch.
-        """
-        n_owned = self.levels[lv].n_owned
-        flat = rows.ravel()
-        nvals = flat.size
-        all_rows = np.concatenate([flat] + [a for a in extra_rows if a.size]) \
-            if extra_rows else flat
-        ghost = all_rows >= n_owned
-        n_ghost_vals = int((flat >= n_owned).sum())
-        per_val = nbytes_total / nvals if nvals else 0.0
-        owned_rows, ghost_rows = all_rows[~ghost], all_rows[ghost]
-        if owned_rows.size:
-            lo, hi = self._span(owned_rows)
-            t.read(FieldRef("fstar", lv), lo, hi,
-                   round(per_val * (nvals - n_ghost_vals)))
-        if ghost_rows.size:
-            lo, hi = self._span(ghost_rows)
-            t.read(FieldRef("fghost", lv), lo, hi, round(per_val * n_ghost_vals))
-
     # -- kernel bodies ---------------------------------------------------------
     def _collide_into_fstar(self, lv: int) -> None:
         buf = self.levels[lv]
         n = buf.n_owned
-        t = self._tracer()
-        if t is not None:
-            nb = self.lat.q * self.itemsize * n
-            t.read(FieldRef("f", lv), 0, n, nb)
-            t.write(FieldRef("fstar", lv), 0, n, nb)
+        if self.rt.tracer is not None:
+            self.rt.tracer.ran(self, "C", lv)
         self.collision.collide(buf.f[:, :n], self.omega[lv],
                                out=buf.fstar[:, :n], force=self.force[lv])
 
@@ -346,21 +307,9 @@ class Engine:
         m = buf.acc_m
         if m == 0:
             return
+        if self.rt.tracer is not None:
+            self.rt.tracer.ran(self, "A", lv + 1, mode)
         ng = buf.ghost_acc.shape[1]
-        t = self._tracer()
-        if t is not None:
-            Q, i = self.lat.q, self.itemsize
-            flo, fhi = self._span(buf.acc_fine_rows)
-            glo, ghi = self._span(buf.acc_ghost_rows)
-            t.read(FieldRef("fstar", lv + 1), flo, fhi,
-                   0 if mode == "fused" else Q * i * m)
-            if mode == "gather":
-                t.read(FieldRef("gacc", lv), 0, ng, Q * i * ng)
-                t.write(FieldRef("gacc", lv), 0, ng, Q * i * ng)
-            else:
-                if mode == "scatter":
-                    t.read(FieldRef("gacc", lv), 0, ng, Q * i * ng)
-                t.atomic(FieldRef("gacc", lv), glo, ghi, Q * i * m)
         # One bincount per q-block: every bin still sums its contributions
         # in map order, so the result is bitwise the per-q accumulation.
         gacc = buf.ghost_acc.reshape(-1)
@@ -375,12 +324,8 @@ class Engine:
     def _stream_bulk(self, lv: int) -> None:
         buf = self.levels[lv]
         n = buf.n_owned
-        t = self._tracer()
-        if t is not None:
-            self._trace_fstar_read(t, lv, buf.pull_rows, buf.patch_rows,
-                                   self.lat.q * self.itemsize * n)
-            t.write(FieldRef("f", lv), 0, n, self.lat.q * self.itemsize * n)
-            t.meta(buf.meta_bytes)
+        if self.rt.tracer is not None:
+            self.rt.tracer.ran(self, "S", lv)
         f, src = buf.f, buf.fstar.reshape(-1)
         for qs in buf.pull_blocks:
             f[qs, :n] = src[buf.pull[qs]]
@@ -401,19 +346,9 @@ class Engine:
         buf = self.levels[lv]
         if buf.exp_q.size == 0:
             return
-        t = self._tracer()
-        if t is not None:
-            m, i = buf.exp_q.size, self.itemsize
-            if from_ghost:
-                lo, hi = self._span(buf.exp_ghost_rows)
-                t.read(FieldRef("fghost", lv), lo, hi, i * m)
-            else:
-                lo, hi = self._span(buf.exp_rows)
-                t.read(FieldRef("fstar", lv - 1), lo, hi, i * m)
-            lo, hi = self._span(buf.exp_cell)
-            # fused into streaming, the write lands on entries the bulk
-            # pull already paid for — no extra traffic
-            t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else i * m)
+        if self.rt.tracer is not None:
+            self.rt.tracer.ran(self, "E", lv, "ghost" if from_ghost else "",
+                               subsumed)
         if from_ghost:
             vals = buf.fstar[buf.exp_q, buf.exp_ghost_rows]
         else:
@@ -422,18 +357,8 @@ class Engine:
 
     def _coalesce_values(self, lv: int, subsumed: bool = False) -> None:
         buf = self.levels[lv]
-        t = self._tracer()
-        if t is not None:
-            i = self.itemsize
-            ng = buf.ghost_acc.shape[1]
-            if buf.coal_dst.size:
-                m = buf.coal_dst.size
-                lo, hi = self._span(buf.coal_src)
-                t.read(FieldRef("gacc", lv), lo, hi, i * m)
-                lo, hi = self._span(buf.coal_cell)
-                t.write(FieldRef("f", lv), lo, hi, 0 if subsumed else i * m)
-            if ng:
-                t.write(FieldRef("gacc", lv), 0, ng, i * buf.ghost_acc.size)
+        if self.rt.tracer is not None:
+            self.rt.tracer.ran(self, "O", lv, subsumed=subsumed)
         if buf.coal_dst.size:
             buf.f.reshape(-1)[buf.coal_dst] = (
                 buf.ghost_acc.reshape(-1)[buf.coal_acc] * self.inv_navg)
@@ -445,13 +370,8 @@ class Engine:
         if buf.fg_rows.size == 0:
             return
         coarse = self.levels[lv - 1]
-        t = self._tracer()
-        if t is not None:
-            nb = self.lat.q * self.itemsize * buf.fg_rows.size
-            lo, hi = self._span(buf.fg_coarse_rows)
-            t.read(FieldRef("fstar", lv - 1), lo, hi, nb)
-            lo, hi = self._span(buf.fg_rows)
-            t.write(FieldRef("fghost", lv), lo, hi, nb)
+        if self.rt.tracer is not None:
+            self.rt.tracer.ran(self, "E", lv, "copy")
         buf.fstar[:, buf.fg_rows] = coarse.fstar[:, buf.fg_coarse_rows]
 
     # -- public ops: one launch record each -------------------------------------
@@ -599,22 +519,12 @@ class Engine:
                 writes.append(FieldRef("gacc", lv - 1))
             if buf.exp_q.size:
                 reads.append(FieldRef("fstar", lv - 1))
-        def run() -> None:
+        def body() -> None:
             self._collide_into_fstar(lv)
             if lv > 0:
                 self._accumulate_values(lv - 1, mode="fused")
             self._stream_bulk(lv)
             self._explode_values(lv, from_ghost=False, subsumed=True)
-
-        def body() -> None:
-            t = self._tracer()
-            if t is None:
-                run()
-            else:
-                # the post-collision intermediate lives in registers: its
-                # accesses are invisible to DRAM and to the declarations
-                with t.suppress(FieldRef("fstar", lv)):
-                    run()
         self.rt.launch("CASE", lv, n_cells=n,
                        bytes_read=Q * self.itemsize * n + self.itemsize * buf.exp_q.size + buf.meta_bytes,
                        bytes_written=Q * self.itemsize * n + atomic,

@@ -9,8 +9,8 @@ reduction of this DAG is what the paper draws in Figure 2; its depth is
 the number of unavoidable synchronisation points, and its width the
 concurrency the scheduler can exploit.
 
-When an ``access_map`` of observed accesses (see
-:mod:`repro.analysis.capture`) is supplied, edges are refined to
+When an ``access_map`` of accesses (see :mod:`repro.analysis.capture`)
+is supplied, edges are refined to
 row-interval granularity: two kernels that touch *disjoint* row ranges of
 the same field do not conflict, and concurrent atomic-add scatters to the
 same accumulator are commutative and carry no write-write edge.  This is
@@ -26,10 +26,11 @@ import networkx as nx
 
 from .runtime import FieldRef, KernelRecord
 
-#: Observed or statically inferred accesses per record index.  Values
-#: are duck-typed (:class:`repro.analysis.capture.Access` or
-#: :class:`repro.analysis.static.StaticAccess`): anything with
-#: ``field``/``kind``/``lo``/``hi`` attributes.
+#: Accesses per record index — captured (:attr:`Runtime.captured`) or
+#: derived from declarations (:meth:`repro.analysis.static.AccessModel.access_map`),
+#: both lists of :class:`repro.analysis.capture.Access`.  Duck-typed
+#: (``field``/``kind``/``lo``/``hi``, optional ``entries``) so this
+#: module never imports the analysis layer.
 AccessMap = Mapping[int, Sequence[Any]]
 
 __all__ = ["ConflictPair", "build_dependency_graph", "graph_stats",
@@ -43,14 +44,17 @@ _META = "meta"
 def _access_overlap(a: Any, b: Any) -> bool:
     """True when two accesses can touch a common buffer entry.
 
+    The one overlap rule: refined dependency edges, the wave race
+    detector and the lint pass all decide conflicts with it.
+
     The coarse test is half-open row-interval intersection (``[lo, hi)``
     intervals that merely *touch* — ``[a,b)`` vs ``[b,c)`` — do not
     conflict, and an *empty* interval ``[x,x)`` conflicts with nothing,
     even when ``x`` lies inside the other interval — which the classic
     two-clause test ``a.lo < b.hi and b.lo < a.hi`` gets wrong).
     Accesses may additionally carry an ``entries`` attribute
-    (an exact set of touched entry ids, used by the static analyzer for
-    small scatter/gather patches): when **both** sides are exact the
+    (an exact set of touched entry ids, which the access model attaches
+    to small scatter/gather patches): when **both** sides are exact the
     bounding intervals are only an envelope and the sets decide —
     interleaved-but-disjoint patches (e.g. Explosion vs Coalescence
     writes into the same ``f`` buffer) correctly do not conflict.
@@ -161,9 +165,9 @@ def build_dependency_graph(records: list[KernelRecord],
     Node attributes: ``label`` (e.g. ``"S1"`` — kernel initial + level, the
     paper's Fig. 2 naming), ``name``, ``level``.
 
-    ``access_map`` (record index → observed :class:`~repro.analysis.capture.Access`
+    ``access_map`` (record index → :class:`~repro.analysis.capture.Access`
     list, e.g. :attr:`repro.neon.runtime.Runtime.captured`) switches edge
-    construction to row-interval granularity — see the module docstring.
+    construction to access granularity — see the module docstring.
     """
     g = nx.DiGraph()
     for i, r in enumerate(records):

@@ -81,7 +81,8 @@ class Runtime:
         self.markers: list[int] = []
         #: Active :class:`~repro.analysis.capture.AccessTracer`, or ``None``.
         self.tracer: Any = None
-        #: Observed accesses per record index (populated in capture mode).
+        #: Accesses of the primitives each launch ran, per record index
+        #: (populated in capture mode, for successful launches only).
         self.captured: dict[int, list[Any]] = {}
         #: Active span recorder (see :mod:`repro.obs.spans`), or ``None``.
         #: Duck-typed so the runtime never imports the observability layer:
@@ -120,8 +121,8 @@ class Runtime:
         Appends a :class:`KernelRecord` built from the *declared*
         access sets and byte counts, then runs ``fn`` through whichever
         hooks are installed: plan-only mode records without executing,
-        a fault hook may wrap the body and a tracer shadows its
-        accesses.
+        a fault hook may wrap the body and a tracer notes the
+        primitives it runs.
 
         If the body raises, no record is appended and the exception
         gains a ``kernel_span`` attribute naming the failed kernel —
@@ -151,14 +152,18 @@ class Runtime:
             fn = self.faults.wrap_body(name, level, fn)
         spans = self.spans
         t0 = perf_counter() if spans is not None else 0.0
+        tracer = self.tracer
         try:
-            if self.tracer is not None:
-                self.tracer.begin_launch()
+            if tracer is not None:
+                tracer.begin_launch()
                 try:
                     if fn is not None:
                         fn()
-                finally:
-                    self.captured[len(self.records)] = self.tracer.end_launch()
+                except BaseException:
+                    tracer.end_launch()  # a failed body leaves no capture
+                    raise
+                idx = len(self.records)
+                self.captured[idx] = tracer.end_launch(idx, rec)
             elif fn is not None:
                 fn()
         except BaseException as exc:
@@ -279,12 +284,12 @@ class Runtime:
 
     # -- access capture ------------------------------------------------------
     def capture_start(self) -> None:
-        """Shadow-record every kernel body's actual buffer accesses.
+        """Record which primitives every kernel body actually runs.
 
         While active, each ``launch`` runs its body under an
-        :class:`~repro.analysis.capture.AccessTracer`; the observed
-        accesses land in :attr:`captured`, keyed by record index.  The
-        functional result of the program is unaffected.
+        :class:`~repro.analysis.capture.AccessTracer`; the accesses of
+        the primitives it ran land in :attr:`captured`, keyed by record
+        index.  The functional result of the program is unaffected.
         """
         if self.tracer is None:
             from ..analysis.capture import AccessTracer

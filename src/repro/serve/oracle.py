@@ -98,16 +98,18 @@ def level_kernel_names(config: FusionConfig, level: int,
                        num_levels: int) -> list[str]:
     """The kernel families one substep of ``level`` launches.
 
-    Mirrors the stepper's fusion rules: Accumulate exists only on levels
-    with a coarser neighbour (the fine side initiates the scatter),
-    Explosion only where a coarser level feeds ghosts, Coalescence only
-    where a finer level reports back.  The original (Fig. 4a) layout
-    adds the explicit Explosion copy and gather Accumulate unfused.
+    Mirrors the stepper's fusion rules: the finest level of a
+    ``fuse_cs_finest`` config runs one CASE (even when it is the only
+    level), Accumulate exists only on levels with a coarser neighbour
+    (the fine side initiates the scatter), Explosion only where a
+    coarser level feeds ghosts, Coalescence only where a finer level
+    reports back.  The original (Fig. 4a) layout adds the explicit
+    Explosion copy (before Streaming) and gather Accumulate unfused.
     """
     finest = level == num_levels - 1
     has_coarser = level > 0
     has_finer = not finest
-    if config.fuse_cs_finest and finest and has_coarser:
+    if config.fuse_cs_finest and finest:
         return ["CASE"]
     names: list[str] = []
     if config.fuse_ca and has_coarser:
@@ -116,6 +118,8 @@ def level_kernel_names(config: FusionConfig, level: int,
         names.append("C")
         if has_coarser:
             names.append("A")
+    if config.original_layout and has_coarser:
+        names.append("E")
     fuse_se = config.fuse_se and has_coarser
     fuse_so = config.fuse_so and has_finer
     if fuse_se and fuse_so:
@@ -142,6 +146,9 @@ def synthetic_step_records(spec, config) -> list[KernelRecord]:
 
     Level ``L`` runs ``2^L`` substeps per coarse step (Algorithm 1);
     each kernel reads and writes one full population set of its level.
+    Kernels holding an atomic Accumulate scatter (A outside the original
+    layout, whose Accumulate is a gather; CA; CASE below the coarsest
+    level) carry the atomic fraction.
     """
     fusion = config.fusion
     lat = (get_lattice(config.lattice) if isinstance(config.lattice, str)
@@ -154,8 +161,9 @@ def synthetic_step_records(spec, config) -> list[KernelRecord]:
         payload = int(cells) * lat.q * dsize
         for _ in range(2 ** level):
             for name in level_kernel_names(fusion, level, num_levels):
-                atomic = (int(payload * _ATOMIC_FRACTION)
-                          if name in ("A", "CA", "CASE") else 0)
+                scatter = (name == "CA" or (name == "CASE" and level > 0)
+                           or (name == "A" and not fusion.original_layout))
+                atomic = int(payload * _ATOMIC_FRACTION) if scatter else 0
                 records.append(KernelRecord(
                     name=name, level=level, n_cells=int(cells),
                     bytes_read=payload, bytes_written=payload,

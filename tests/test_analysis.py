@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.capture import ATOMIC, META, READ, WRITE, Access, AccessTracer
+from repro.analysis.capture import (ATOMIC, META, READ, WRITE, Access,
+                                    AccessTracer, Primitive)
 from repro.analysis.cli import ALL_CONFIGS, lint_config, main, small_workloads
 from repro.analysis.races import access_conflict, detect_races
 from repro.analysis.verify import verify_record, verify_trace
@@ -40,31 +41,47 @@ def traced_sim(config, base=(20, 20), num_levels=2, lattice="D2Q9", steps=2):
     return sim, rt
 
 
+@pytest.fixture(scope="module")
+def engine2():
+    """A built (not stepped) 2-level D2Q9 engine to expand primitives on."""
+    wl = lid_cavity(base=(16, 16), num_levels=2, lattice="D2Q9")
+    return Simulation.from_config(wl.spec, wl.sim_config()).engine
+
+
 class TestAccessTracer:
-    def test_launch_bracketing(self):
+    def test_launch_bracketing(self, engine2):
         t = AccessTracer()
-        assert not t.active
         t.begin_launch()
-        t.read(F0, 0, 4, 32)
-        t.write(FS0, 0, 4, 32)
-        accs = t.end_launch()
-        assert [a.kind for a in accs] == [READ, WRITE]
-        assert accs[0].lo == 0 and accs[0].hi == 4 and accs[0].nbytes == 32
-        assert not t.active
+        t.ran(engine2, "C", 0)
+        accs = t.end_launch(7, rec("C", 0))
+        n, nb = engine2.levels[0].n_owned, engine2.lat.q * 8 * engine2.levels[0].n_owned
+        assert [(a.field, a.kind) for a in accs] == [(F0, READ), (FS0, WRITE)]
+        assert all(a.lo == 0 and a.hi == n and a.nbytes == nb for a in accs)
+        assert t.executed == {7: [Primitive("C", 0)]}
+        t.begin_launch()  # closed again: a new launch may begin
 
-    def test_recording_outside_launch_is_dropped(self):
+    def test_recording_outside_launch_is_dropped(self, engine2):
         t = AccessTracer()
-        t.read(F0, 0, 4, 32)  # no launch in flight
+        t.ran(engine2, "C", 0)  # no launch in flight
         t.begin_launch()
-        assert t.end_launch() == []
+        assert t.end_launch(0, rec("C", 0)) == []
+        assert t.executed == {0: []}
 
-    def test_suppressed_fields_invisible(self):
+    def test_suppressed_fields_invisible(self, engine2):
+        # the CASE register-resident rule lives in the access model and
+        # keys on the record: the same primitives keep fstar@1 visible
+        # under any other kernel name
         t = AccessTracer()
-        t.begin_launch()
-        with t.suppress(FS0):
-            t.write(FS0, 0, 4, 32)
-            t.read(F0, 0, 4, 32)
-        assert [a.field for a in t.end_launch()] == [F0]
+        prims = [("C", 1, ""), ("A", 1, "fused"), ("S", 1, "")]
+        fields = {}
+        for name in ("CASE", "C"):
+            t.begin_launch()
+            for p in prims:
+                t.ran(engine2, *p)
+            fields[name] = {a.field for a in t.end_launch(0, rec(name, 1))}
+        fs1 = FieldRef("fstar", 1)
+        assert fs1 in fields["C"] and fs1 not in fields["CASE"]
+        assert fields["CASE"] == fields["C"] - {fs1}
 
     def test_nested_launch_rejected(self):
         t = AccessTracer()
@@ -72,12 +89,20 @@ class TestAccessTracer:
         with pytest.raises(RuntimeError):
             t.begin_launch()
 
-    def test_meta_has_no_field(self):
+    def test_meta_has_no_field(self, engine2):
         t = AccessTracer()
         t.begin_launch()
-        t.meta(128)
-        (a,) = t.end_launch()
-        assert a.kind == META and a.field is None and a.nbytes == 128
+        t.ran(engine2, "S", 0)
+        metas = [a for a in t.end_launch(0, rec("S", 0)) if a.kind == META]
+        assert len(metas) == 1 and metas[0].field is None
+        assert metas[0].nbytes == engine2.levels[0].meta_bytes > 0
+
+    def test_failed_launch_keeps_nothing(self, engine2):
+        t = AccessTracer()
+        t.begin_launch()
+        t.ran(engine2, "C", 0)
+        assert t.end_launch() == [] and t.executed == {}
+        t.begin_launch()
 
 
 class TestRuntimeCapture:
@@ -86,6 +111,24 @@ class TestRuntimeCapture:
         assert set(rt.captured) == set(range(len(rt.records)))
         assert all(rt.captured[i] for i in rt.captured), \
             "every engine kernel body must record at least one access"
+
+    def test_failed_launch_leaves_no_orphan_capture(self):
+        rt = Runtime()
+        rt.capture_start()
+        rt.launch("C", 0, n_cells=1, bytes_read=0, bytes_written=0,
+                  fn=lambda: None)
+
+        def boom():
+            raise RuntimeError("kernel fault")
+        with pytest.raises(RuntimeError):
+            rt.launch("S", 0, n_cells=1, bytes_read=0, bytes_written=0, fn=boom)
+        assert len(rt.records) == 1
+        assert set(rt.captured) == {0}
+        assert set(rt.tracer.executed) == {0}
+        # the tracer is closed again: the next launch captures normally
+        rt.launch("S", 0, n_cells=1, bytes_read=0, bytes_written=0,
+                  fn=lambda: None)
+        assert set(rt.captured) == {0, 1}
 
     def test_capture_stop_freezes(self):
         sim, rt = traced_sim(MODIFIED_BASELINE)
@@ -237,6 +280,20 @@ class TestRaceDetector:
         assert access_conflict(a, r) == "atomic-plain"
         assert access_conflict(a, a) is None
         assert access_conflict(r, r) is None
+
+    def test_exact_entries_refine_conflicts(self):
+        # the refined graph's overlap rule: interleaved scatter patches
+        # with one envelope but disjoint entries do not race
+        a = Access(F0, WRITE, 0, 10, 8, entries=frozenset({0, 2, 4}))
+        b = Access(F0, WRITE, 0, 10, 8, entries=frozenset({1, 3, 5}))
+        c = Access(F0, WRITE, 0, 10, 8, entries=frozenset({4, 5}))
+        assert access_conflict(a, b) is None
+        assert access_conflict(a, c) == "waw"
+        records = [rec("W", writes=[F0]), rec("V", writes=[F0])]
+        assert detect_races(records, {0: [a], 1: [b]}, [[0, 1]]) == []
+        assert build_dependency_graph(records, reduce=False,
+                                      access_map={0: [a], 1: [b]}
+                                      ).number_of_edges() == 0
 
 
 class TestIntervalRefinedGraph:

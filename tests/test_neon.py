@@ -281,14 +281,12 @@ class TestIntervalRefinement:
     def test_exact_entry_sets_refine_overlapping_envelopes(self):
         # interleaved scatter patches: same bounding interval, disjoint
         # entries — must not conflict; sharing one entry must
-        from repro.analysis.static import StaticAccess
+        from repro.analysis.capture import Access
 
         def graph(e0, e1):
             records = [rec("W", 0, writes=[F0]), rec("V", 0, writes=[F0])]
-            amap = {0: [StaticAccess(F0, "write", 0, 10, 8,
-                                     entries=frozenset(e0))],
-                    1: [StaticAccess(F0, "write", 0, 10, 8,
-                                     entries=frozenset(e1))]}
+            amap = {0: [Access(F0, "write", 0, 10, 8, entries=frozenset(e0))],
+                    1: [Access(F0, "write", 0, 10, 8, entries=frozenset(e1))]}
             return build_dependency_graph(records, reduce=False,
                                           access_map=amap)
 

@@ -16,6 +16,7 @@ The acceptance bar this suite enforces (DESIGN.md §16):
 
 import asyncio
 import os
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,8 @@ from repro.resilience.faults import Fault, FaultInjector
 from repro.serve import (AdmissionError, JobServer, JobSpec, UnknownJobError,
                          WorkerKilled, predict_cost, state_digest)
 from repro.serve.cli import build_flood, summary_from_disk
-from repro.serve.oracle import active_cells_estimate
+from repro.analysis.cli import ALL_CONFIGS
+from repro.serve.oracle import active_cells_estimate, synthetic_step_records
 
 
 def cavity_job(base=10, levels=1, steps=4, tenant="default", priority=0,
@@ -83,6 +85,41 @@ class TestOracle:
                                job.config.replace(fusion="baseline-4a"), 4)
         assert unfused.total_us > fused.total_us
         assert unfused.kernels_per_step > fused.kernels_per_step
+
+    @pytest.mark.parametrize("levels", (1, 2, 3))
+    @pytest.mark.parametrize("fusion", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_kernel_counts_match_plan_only_step(self, fusion, levels):
+        # The synthetic stream must launch what the stepper launches, per
+        # (kernel name, level) over one coarse step — incl. 4a's
+        # Explosion copies and a single-level CASE.
+        wl = lid_cavity(base=(16, 16), num_levels=levels, lattice="D2Q9")
+        cfg = wl.sim_config(fusion=fusion)
+        sim = Simulation.from_config(wl.spec, cfg)
+        try:
+            sim.runtime.plan_start()
+            sim.run(1)
+            sim.runtime.plan_stop()
+            planned = Counter((r.name, r.level) for r in sim.runtime.records)
+        finally:
+            sim.close()
+        oracle = Counter((r.name, r.level)
+                         for r in synthetic_step_records(wl.spec, cfg))
+        assert oracle == planned
+
+    def test_atomic_part_only_where_a_scatter_runs(self):
+        # a level-0 CASE has no Accumulate; 4a's Accumulate is a gather
+        single = cavity_job(base=12, levels=1)
+        recs = synthetic_step_records(single.spec,
+                                      single.config.replace(fusion="ours-4f"))
+        assert [r.name for r in recs] == ["CASE"]
+        assert recs[0].atomic_bytes == 0
+        two = cavity_job(base=12, levels=2)
+        for fusion, name in (("baseline-4a", "A"), ("baseline-4b", "A"),
+                             ("ours-4f", "CASE")):
+            recs = [r for r in synthetic_step_records(
+                two.spec, two.config.replace(fusion=fusion)) if r.name == name]
+            assert recs and all((r.atomic_bytes > 0) == (fusion != "baseline-4a")
+                                for r in recs), fusion
 
 
 class TestAdmission:

@@ -5,17 +5,18 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.capture import AccessTracer, READ, WRITE
+from repro.analysis.capture import Primitive
 from repro.analysis.certificate import (CERTIFICATE_VERSION, build_certificate,
                                         load_certificate, stream_digest,
                                         validate_certificate,
                                         write_certificate)
 from repro.analysis.cli import small_workloads, static_check
 from repro.analysis.lint import LintFinding, build_lifetimes, lint_stream
-from repro.analysis.static import (AccessModel, StaticAccess, check_contraction,
-                                   plan_stream, prove_fusion_legality,
-                                   seeded_illegal_proof, superset_findings,
+from repro.analysis.static import (AccessModel, check_contraction,
+                                   composition_findings, plan_stream,
+                                   prove_fusion_legality, seeded_illegal_proof,
                                    swap_declaration, verify_static)
+from repro.analysis.verify import verify_trace
 from repro.bench.workloads import lid_cavity
 from repro.core.fusion import (ABLATION_CONFIGS, FUSE_SO, FUSED_FULL,
                                MODIFIED_BASELINE, ORIGINAL_BASELINE)
@@ -23,7 +24,7 @@ from repro.core.simulation import Simulation
 from repro.gpu.device import get_device
 from repro.gpu.memory import (BufferLifetime, arena_assign, arena_check,
                               arena_peak_bytes)
-from repro.neon.runtime import FieldRef, KernelRecord, Runtime
+from repro.neon.runtime import KernelRecord, Runtime
 
 WL2D = dict(base=(20, 20), num_levels=2, lattice="D2Q9")
 WL3D = dict(base=(12, 12, 12), num_levels=3, lattice="D3Q19")
@@ -38,14 +39,16 @@ def rec(name, level=0, reads=(), writes=(), n_cells=4, bytes_read=0,
                         atomic_bytes=atomic_bytes)
 
 
-def captured_run(config, wl_kwargs, steps=2):
+def captured_run(config, wl_kwargs, steps=2, runtime=None):
+    """Executed records, captured accesses and executed primitives."""
     wl = lid_cavity(**wl_kwargs)
-    rt = Runtime()
+    rt = runtime if runtime is not None else Runtime()
     rt.capture_start()
+    tracer = rt.tracer
     sim = Simulation.from_config(wl.spec, wl.sim_config(fusion=config),
                                  runtime=rt)
     sim.run(steps)
-    return list(rt.records), rt.capture_stop()
+    return list(rt.records), rt.capture_stop(), tracer.executed
 
 
 # ---------------------------------------------------------------- plan streams
@@ -54,12 +57,12 @@ class TestPlanStream:
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_plan_equals_executing_stream_2d(self, config):
         records, _ = plan_stream(config, WL2D, steps=2)
-        executed, _ = captured_run(config, WL2D, steps=2)
+        executed, _, _ = captured_run(config, WL2D, steps=2)
         assert records == executed
 
     def test_plan_equals_executing_stream_3d(self):
         records, _ = plan_stream(FUSED_FULL, WL3D, steps=2)
-        executed, _ = captured_run(FUSED_FULL, WL3D, steps=2)
+        executed, _, _ = captured_run(FUSED_FULL, WL3D, steps=2)
         assert records == executed
 
     def test_plan_only_runs_no_bodies(self):
@@ -111,27 +114,71 @@ class TestStaticAccessSets:
         findings = verify_static(bad, model)
         assert [f.check for f in findings] == ["unmodeled-kernel"]
 
+    # The composition check: what each body ran is its record's
+    # decomposition, so the access sets capture expands equal the
+    # static ones launch by launch (a fortiori static ⊇ dynamic).
     @pytest.mark.parametrize("config", ALL, ids=lambda c: c.name)
     def test_static_superset_of_dynamic_2d(self, config):
         records, model = plan_stream(config, WL2D, steps=2)
-        executed, captured = captured_run(config, WL2D, steps=2)
+        executed, captured, ran = captured_run(config, WL2D, steps=2)
         assert records == executed
-        assert superset_findings(records, captured,
-                                 model.access_map(records)) == []
+        assert composition_findings(records, ran, model) == []
+        assert set(ran) == set(range(len(records)))
+        assert all(captured[i] == model.accesses(r)
+                   for i, r in enumerate(records))
 
     def test_static_superset_of_dynamic_3d(self):
         records, model = plan_stream(FUSED_FULL, WL3D, steps=2)
-        _, captured = captured_run(FUSED_FULL, WL3D, steps=2)
-        assert superset_findings(records, captured,
-                                 model.access_map(records)) == []
+        _, captured, ran = captured_run(FUSED_FULL, WL3D, steps=2)
+        assert composition_findings(records, ran, model) == []
+        assert all(captured[i] == model.accesses(r)
+                   for i, r in enumerate(records))
 
     def test_superset_violation_detected(self):
         records, model = plan_stream(MODIFIED_BASELINE, WL2D, steps=1)
-        static_map = model.access_map(records)
-        # fabricate an observation outside every static interval
-        fake = StaticAccess(FieldRef("f", 0), READ, 10**6, 10**6 + 4, 32)
-        problems = superset_findings(records, {0: [fake]}, static_map)
-        assert len(problems) == 1 and "not covered" in problems[0]
+        assert records[0].name == "C"
+        # a C body that also streamed: not what its record names
+        ran = {0: [Primitive("C", 0), Primitive("S", 0)]}
+        problems = composition_findings(records, ran, model)
+        assert len(problems) == 1 and "#0 C0" in problems[0]
+        assert "S0" in problems[0]
+
+    def test_body_running_undeclared_primitive_is_flagged(self):
+        # negative control on a live engine: the level-1 Streaming body
+        # also explodes while its record still declares plain S — an
+        # undeclared read of the coarse fstar the wave scheduler would
+        # race against.  Both the composition check and the verifier
+        # must flag it.
+        rt = Runtime()
+        launch = rt.launch
+
+        def tampered(name, level, **kw):
+            if name == "S" and level == 1:
+                body = kw["fn"]
+
+                def fn():
+                    body()
+                    sim.engine._explode_values(1, from_ghost=False)
+                kw["fn"] = fn
+            launch(name, level, **kw)
+        rt.launch = tampered
+        wl = lid_cavity(**WL2D)
+        rt.capture_start()
+        tracer = rt.tracer
+        sim = Simulation.from_config(
+            wl.spec, wl.sim_config(fusion=MODIFIED_BASELINE), runtime=rt)
+        sim.run(1)
+        records, captured = rt.records, rt.capture_stop()
+        bad = [i for i, r in enumerate(records) if (r.name, r.level) == ("S", 1)]
+        assert len(bad) == 2
+        problems = composition_findings(records, tracer.executed,
+                                        AccessModel(sim.engine))
+        assert len(problems) == len(bad)
+        assert all("E1" in p for p in problems)
+        reads = [f for f in verify_trace(records, captured)
+                 if f.check == "undeclared-read"]
+        assert {f.index for f in reads} == set(bad)
+        assert all(f.field == "fstar@0" for f in reads)
 
 
 # ------------------------------------------------------------ legality proofs
@@ -345,7 +392,7 @@ class TestStaticCLI:
         rep = static_check(FUSED_FULL, "cavity2d-2lvl", steps=2,
                            cert_dir=str(tmp_path))
         assert not rep["stream_mismatch"]
-        assert rep["findings"] == [] and rep["superset"] == []
+        assert rep["findings"] == [] and rep["composition"] == []
         assert rep["verdict"] == "legal"
         assert rep["lint_errors"] == []
         assert rep["certificate_problems"] == []
